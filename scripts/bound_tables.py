@@ -13,12 +13,11 @@ from srkit.field import field_create  # noqa: E402
 F2 = field_create(2)
 
 
-def table(title, profiles_and_ds):
+def table(title, labels, profiles_and_ds):
     print(title)
     reports = [bound_report(p, d) for p, d in profiles_and_ds]
-    header = ["bound"] + [label for label in reports_labels]
     width = max(len(n) for n in TABLE_BOUNDS)
-    print("  " + "bound".ljust(width) + "".join(f"{lab:>10}" for lab in reports_labels))
+    print("  " + "bound".ljust(width) + "".join(f"{lab:>10}" for lab in labels))
     for name in TABLE_BOUNDS:
         cells = []
         for rep in reports:
@@ -31,11 +30,11 @@ def table(title, profiles_and_ds):
     print()
 
 
-mixed = profile_create(F2, [(2, 2)] + [(1, 2)] * 7 + [(1, 1)] * 5)
-reports_labels = ["d=8", "d=9", "d=11"]
-table("Pi_2(2x2 | 1x2 x7 | 1x1 x5):", [(mixed, 8), (mixed, 9), (mixed, 11)])
+if __name__ == "__main__":
+    mixed = profile_create(F2, [(2, 2)] + [(1, 2)] * 7 + [(1, 1)] * 5)
+    table("Pi_2(2x2 | 1x2 x7 | 1x1 x5):", ["d=8", "d=9", "d=11"],
+          [(mixed, 8), (mixed, 9), (mixed, 11)])
 
-cols = [(4, 5), (6, 8), (7, 10), (9, 14), (17, 32)]
-reports_labels = [f"{t}/{d}" for t, d in cols]
-table("Pi_2(2x2 | ... | 2x2), t blocks:",
-      [(profile_create(F2, [(2, 2)] * t), d) for t, d in cols])
+    cols = [(4, 5), (6, 8), (7, 10), (9, 14), (17, 32)]
+    table("Pi_2(2x2 | ... | 2x2), t blocks:", [f"{t}/{d}" for t, d in cols],
+          [(profile_create(F2, [(2, 2)] * t), d) for t, d in cols])

@@ -57,7 +57,7 @@ from .distributions import (
     f_ell,
     macwilliams_ranklist,
     macwilliams_support,
-    msrd_support_count,
+    msrd_support_distribution,
     omega,
     omega_exclusion_scan,
     omega_hat,

@@ -12,7 +12,13 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product
 
-from .errors import AmbientMismatch, BadBlock, NotComparable, ProfileMismatch
+from .errors import (
+    AmbientMismatch,
+    BadBlock,
+    BadDistance,
+    NotComparable,
+    ProfileMismatch,
+)
 from .field import Field
 from .guard import check_enum
 from .matq import (
@@ -31,7 +37,7 @@ class Profile:
     """Ordered block shapes over a fixed field, sorted by descending m_i."""
 
     __slots__ = ("field", "blocks", "original_blocks", "permutation",
-                 "t", "N", "M", "dim", "Q")
+                 "slices", "t", "N", "M", "dim", "Q")
 
     def __init__(self, field: Field, raw_blocks):
         raw = [(int(n), int(m)) for n, m in raw_blocks]
@@ -47,10 +53,17 @@ class Profile:
         self.original_blocks = tuple(raw)
         self.permutation = tuple(order)       # blocks[i] == original[permutation[i]]
         self.blocks = tuple(raw[i] for i in order)
+        # flat layout: block-major, row-major within a block
+        slices = []
+        pos = 0
+        for n, m in self.blocks:
+            slices.append((pos, n, m))
+            pos += n * m
+        self.slices = tuple(slices)            # (offset, n, m) per block
         self.t = len(raw)
         self.N = sum(n for n, _ in raw)
         self.M = sum(m for _, m in raw)
-        self.dim = sum(n * m for n, m in raw)
+        self.dim = pos
         self.Q = sum(Fraction(1, field.q ** m) for _, m in raw)
 
     @property
@@ -109,12 +122,15 @@ def parse_profile(text: str):
     blocks = []
     for token in text.strip().split(","):
         parts = token.lower().split("x")
-        if len(parts) == 2:
-            n, m, r = int(parts[0]), int(parts[1]), 1
-        elif len(parts) == 3:
-            n, m, r = int(parts[0]), int(parts[1]), int(parts[2])
-        else:
-            raise BadBlock(f"cannot parse block {token!r}")
+        try:
+            if len(parts) == 2:
+                n, m, r = int(parts[0]), int(parts[1]), 1
+            elif len(parts) == 3:
+                n, m, r = int(parts[0]), int(parts[1]), int(parts[2])
+            else:
+                raise ValueError
+        except ValueError:
+            raise BadBlock(f"cannot parse block {token!r}") from None
         blocks.extend([(n, m)] * r)
     return blocks
 
@@ -172,16 +188,24 @@ class MatrixTuple:
                             for a, b in zip(self.blocks, other.blocks)],
                            check=False)
 
-    def scale(self, c):
-        F = self.profile.field
-        return MatrixTuple(self.profile,
-                           [Mat(F, [[F.mul(c, x) for x in r] for r in b.rows])
-                            for b in self.blocks],
-                           check=False)
-
     def _check(self, other):
         if not isinstance(other, MatrixTuple) or other.profile != self.profile:
             raise ProfileMismatch("tuples live in different ambient spaces")
+
+
+def flatten(x: MatrixTuple) -> list[int]:
+    out = []
+    for b in x.blocks:
+        for r in b.rows:
+            out.extend(r)
+    return out
+
+
+def unflatten(profile: Profile, vec) -> MatrixTuple:
+    F = profile.field
+    blocks = [Mat(F, [vec[pos + i * m: pos + (i + 1) * m] for i in range(n)])
+              for pos, n, m in profile.slices]
+    return MatrixTuple(profile, blocks, check=False)
 
 
 class SubspaceTuple:
@@ -293,8 +317,9 @@ def blockdiag_embed(x: MatrixTuple) -> Mat:
     return Mat(F, rows)
 
 
-def _rank_poly(profile: Profile):
-    """Coefficients of prod_i (sum_s #{rank-s matrices} y^s)."""
+def weight_spectrum(profile: Profile) -> list[int]:
+    """Count of ambient tuples at each sum-rank weight 0..N: the coefficients
+    of prod_i (sum_s #{rank-s matrices} y^s)."""
     q = profile.field.q
     acc = [1]
     for n, m in profile.blocks:
@@ -311,30 +336,15 @@ def _rank_poly(profile: Profile):
 def sphere_volume(profile: Profile, r: int) -> int:
     """Number of tuples of sum-rank weight at most r (exact)."""
     if r < 0:
-        raise ValueError("radius must be non-negative")
-    poly = _rank_poly(profile)
-    return sum(poly[:min(r, profile.N) + 1])
-
-
-def weight_spectrum(profile: Profile) -> list[int]:
-    """Count of ambient tuples at each sum-rank weight 0..N."""
-    return _rank_poly(profile)
+        raise BadDistance("radius must be non-negative")
+    return sum(weight_spectrum(profile)[:min(r, profile.N) + 1])
 
 
 def enumerate_tuples(profile: Profile, override=False):
     """Every element of the ambient space, deterministic order."""
     check_enum(profile.size(), override, what="ambient enumeration")
-    F = profile.field
-    q = F.q
-    shapes = profile.blocks
-    for codes in product(range(q), repeat=profile.dim):
-        blocks = []
-        pos = 0
-        for n, m in shapes:
-            rows = [codes[pos + i * m: pos + (i + 1) * m] for i in range(n)]
-            blocks.append(Mat(F, rows))
-            pos += n * m
-        yield MatrixTuple(profile, blocks, check=False)
+    for codes in product(range(profile.field.q), repeat=profile.dim):
+        yield unflatten(profile, codes)
 
 
 def enumerate_lattice(profile: Profile, dim_vector=None, total_rank=None,

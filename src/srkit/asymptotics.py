@@ -118,11 +118,6 @@ def asymptotic_singleton(eta: float) -> float:
     return 1.0 - eta
 
 
-def asymptotic_projective_sphere_packing(eta: float) -> float:
-    """Asymptotically the projection argument gives nothing beyond Singleton."""
-    return asymptotic_singleton(eta)
-
-
 def asymptotic_total_distance(eta: float, scenario: AsymptoticScenario) -> float:
     """1 - eta (1 - 1/(n q^m))^{-1} with n the (max) stabilized row count;
     zero beyond the cutoff."""
@@ -214,10 +209,9 @@ def evaluate_bound(name: str, eta: float, scenario: AsymptoticScenario):
     q, m = scenario.q, scenario.m_hat
     m_top = scenario.m_head[0] if scenario.m_head else scenario.m_hat
     try:
-        if name == "singleton":
+        # asymptotically the projection argument gives nothing beyond Singleton
+        if name in ("singleton", "projective-sphere-packing"):
             return asymptotic_singleton(eta)
-        if name == "projective-sphere-packing":
-            return asymptotic_projective_sphere_packing(eta)
         if name == "total-distance":
             return asymptotic_total_distance(eta, scenario)
         if name in ("sphere-packing-upper", "sphere-covering-lower"):

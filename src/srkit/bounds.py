@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import comb
 
 from .ambient import Profile, profile_create, sphere_volume
-from .code import singleton_decomposition
+from .code import singleton_exponent
 from .errors import BadDistance, DecompositionUnavailable, HypothesisFailed
 
 # the six bound families the comparison tables rank against each other
@@ -75,9 +75,7 @@ def induced_bounds(profile: Profile, d: int) -> dict:
 def singleton_bound(profile: Profile, d: int):
     """(value, j, delta); the maximizing projection is folded into (j, delta)."""
     _check_d(profile, d)
-    ns, ms = profile.ns, profile.ms
-    j, delta = singleton_decomposition(ns, d)
-    expo = sum(ms[i] * ns[i] for i in range(j - 1, profile.t)) - ms[j - 1] * delta
+    expo, j, delta = singleton_exponent(profile, d)
     return profile.field.q ** expo, j, delta
 
 

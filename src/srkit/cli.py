@@ -44,27 +44,11 @@ from .distributions import (
     omega_exclusion_scan,
     omega_hat_exclusion_scan,
 )
-from .errors import SrkitError, TooLarge
-from .field import field_create, prime_factors
+from .errors import BadDistance, SrkitError, TooLarge
+from .field import field_from_order, prime_power
 from .srcfile import parse_src, write_src
 
 SCHEMA = "srkit.v1"
-
-
-def _parse_q(text: str):
-    """Accept '2', '2^4' or a plain prime power like '9'."""
-    if "^" in text:
-        p, k = text.split("^", 1)
-        return field_create(int(p), int(k))
-    q = int(text)
-    for p in prime_factors(q):
-        k, n = 0, q
-        while n % p == 0:
-            n //= p
-            k += 1
-        if n == 1:
-            return field_create(p, k)
-    raise SrkitError(f"{q} is not a prime power")
 
 
 def _format_value(v):
@@ -83,7 +67,7 @@ def _print_bounds_table(rep, out):
 
 
 def cmd_bounds(args, out):
-    field = _parse_q(args.q)
+    field = field_from_order(args.q)
     profile = profile_create(field, parse_profile(args.profile))
     ds = range(1, profile.N + 1) if args.all_d else [args.d]
     if not args.all_d and args.d is None:
@@ -187,10 +171,12 @@ def cmd_distributions(args, out):
     code = parse_src(args.src)
     _, rld, supd = _print_distributions(code, out)
     status = 0
+    ddist = None
     if args.dual:
-        _print_distributions(dual(code), out, label="dual ")
+        ddist = _print_distributions(dual(code), out, label="dual ")
     if args.check_macwilliams:
-        ddist = brute_distributions(dual(code))
+        if ddist is None:
+            ddist = brute_distributions(dual(code))
         ok_s = macwilliams_support(supd, code.size()).counts == ddist[2].counts
         ok_r = macwilliams_ranklist(rld, code.size()).counts == ddist[1].counts
         print(f"macwilliams: support {'ok' if ok_s else 'FAIL'}, "
@@ -217,6 +203,9 @@ def cmd_macwilliams(args, out):
 
 
 def cmd_omega(args, out):
+    prime_power(args.q_int)
+    if args.d < 1:
+        raise BadDistance(f"distance must be at least 1, got {args.d}")
     shape = tuple(int(x) for x in args.shape.split(","))
     scan = omega_hat_exclusion_scan if args.dual else omega_exclusion_scan
     res = scan(shape, args.m, args.q_int, args.d, fast=args.fast)
@@ -229,7 +218,7 @@ def cmd_omega(args, out):
 
 
 def cmd_construct(args, out):
-    field = _parse_q(args.q)
+    field = field_from_order(args.q)
     name = args.name
     if name == "gabidulin":
         code = gabidulin_mrd(field, args.n, args.m, args.d)
@@ -276,6 +265,7 @@ def cmd_construct(args, out):
 
 
 def cmd_asymptotics(args, out):
+    prime_power(args.q_int)
     scenario = AsymptoticScenario(
         q=args.q_int, m_hat=args.m, n_hat=args.n,
         m_head=tuple(int(x) for x in args.head.split(",")) if args.head else (),
@@ -296,7 +286,7 @@ def cmd_asymptotics(args, out):
 
 
 def cmd_sphere_volume(args, out):
-    field = _parse_q(args.q)
+    field = field_from_order(args.q)
     profile = profile_create(field, parse_profile(args.profile))
     print(sphere_volume(profile, args.r), file=out)
     return 0
@@ -431,7 +421,7 @@ def main(argv=None, out=None):
     except TooLarge as e:
         print(f"guard exceeded: {e}", file=sys.stderr)
         return 3
-    except SrkitError as e:
+    except (SrkitError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,9 @@ from .ambient import (
     MatrixTuple,
     Profile,
     SubspaceTuple,
+    flatten,
     profile_create,
+    unflatten,
 )
 from .errors import (
     IndexOutOfTheoremRange,
@@ -23,42 +25,37 @@ from .errors import (
     TrivialCode,
 )
 from .guard import check_enum
-from .matq import Mat, _rref_rows, nullspace, orthogonal_complement
-
-
-def flatten(x: MatrixTuple) -> list[int]:
-    out = []
-    for b in x.blocks:
-        for r in b.rows:
-            out.extend(r)
-    return out
-
-
-def unflatten(profile: Profile, vec) -> MatrixTuple:
-    F = profile.field
-    blocks = []
-    pos = 0
-    for n, m in profile.blocks:
-        rows = [tuple(vec[pos + i * m: pos + (i + 1) * m]) for i in range(n)]
-        blocks.append(Mat(F, rows))
-        pos += n * m
-    return MatrixTuple(profile, blocks, check=False)
+from .matq import (
+    Mat,
+    _rref_rows,
+    in_rref_span,
+    linear_combination,
+    nullspace,
+    orthogonal_complement,
+)
 
 
 class LinearCode:
-    """An F_q-linear subspace of the ambient space, canonical basis."""
+    """An F_q-linear subspace of the ambient space, canonical basis.
 
-    __slots__ = ("profile", "basis", "k", "_flat")
+    `flat_rows` must already be the canonical RREF rows of the code.
+    """
 
-    def __init__(self, profile: Profile, basis, flat_rows):
+    __slots__ = ("profile", "k", "_flat")
+
+    def __init__(self, profile: Profile, flat_rows):
         self.profile = profile
-        self.basis = tuple(basis)
-        self.k = len(self.basis)
         self._flat = tuple(tuple(r) for r in flat_rows)
+        self.k = len(self._flat)
 
     @property
     def field(self):
         return self.profile.field
+
+    @property
+    def basis(self):
+        """The canonical basis as matrix tuples."""
+        return tuple(unflatten(self.profile, r) for r in self._flat)
 
     def size(self) -> int:
         return self.field.q ** self.k
@@ -76,14 +73,7 @@ class LinearCode:
     def contains(self, x: MatrixTuple) -> bool:
         if x.profile != self.profile:
             raise ProfileMismatch("tuple lives in a different ambient space")
-        F = self.field
-        v = flatten(x)
-        for row in self._flat:
-            p = next(i for i, c in enumerate(row) if c)
-            if v[p]:
-                f = v[p]
-                v = [F.sub(a, F.mul(f, b)) for a, b in zip(v, row)]
-        return not any(v)
+        return in_rref_span(self._flat, flatten(x), self.field)
 
 
 def code_create(profile: Profile, generators) -> LinearCode:
@@ -94,19 +84,15 @@ def code_create(profile: Profile, generators) -> LinearCode:
             raise ProfileMismatch("generator does not live in the given profile")
     rows = [flatten(g) for g in gens]
     rows, rk, _ = _rref_rows(rows, profile.dim, profile.field)
-    flat = rows[:rk]
-    basis = [unflatten(profile, r) for r in flat]
-    return LinearCode(profile, basis, flat)
+    return LinearCode(profile, rows[:rk])
 
 
 def full_code(profile: Profile) -> LinearCode:
-    eye = [[1 if i == j else 0 for j in range(profile.dim)]
-           for i in range(profile.dim)]
-    return LinearCode(profile, [unflatten(profile, r) for r in eye], eye)
+    return LinearCode(profile, Mat.identity(profile.field, profile.dim).rows)
 
 
 def zero_code(profile: Profile) -> LinearCode:
-    return LinearCode(profile, [], [])
+    return LinearCode(profile, [])
 
 
 # ---------------------------------------------------------------------------
@@ -161,15 +147,6 @@ def codewords(code: LinearCode, override=False):
         yield unflatten(code.profile, vec)
 
 
-def _block_slices(profile: Profile):
-    out = []
-    pos = 0
-    for n, m in profile.blocks:
-        out.append((pos, n, m))
-        pos += n * m
-    return out
-
-
 def _srk_of_flat(vec, slices, F):
     total = 0
     for pos, n, m in slices:
@@ -183,7 +160,7 @@ def minimum_distance(code: LinearCode, override=False) -> int:
     if code.k == 0:
         raise TrivialCode("the zero code has no minimum distance")
     F = code.field
-    slices = _block_slices(code.profile)
+    slices = code.profile.slices
     best = None
     for digits, vec in _iter_flat_words(code, override):
         if not any(digits):
@@ -196,14 +173,6 @@ def minimum_distance(code: LinearCode, override=False) -> int:
     return best
 
 
-def sumrank_weights(code: LinearCode, override=False):
-    """(coefficients, weight) stream over all codewords."""
-    F = code.field
-    slices = _block_slices(code.profile)
-    for digits, vec in _iter_flat_words(code, override):
-        yield digits, _srk_of_flat(vec, slices, F)
-
-
 # ---------------------------------------------------------------------------
 # duality and shortening
 # ---------------------------------------------------------------------------
@@ -213,9 +182,7 @@ def dual(code: LinearCode) -> LinearCode:
     profile = code.profile
     if code.k == 0:
         return full_code(profile)
-    ns = nullspace(Mat(code.field, code._flat))
-    flat = [list(r) for r in ns.basis]
-    return LinearCode(profile, [unflatten(profile, r) for r in flat], flat)
+    return LinearCode(profile, nullspace(Mat(code.field, code._flat)).basis)
 
 
 def shorten(code: LinearCode, u: SubspaceTuple) -> LinearCode:
@@ -229,8 +196,7 @@ def shorten(code: LinearCode, u: SubspaceTuple) -> LinearCode:
     # constraint rows: for each block i, each row p of a basis of U_i^perp,
     # each column b: sum_g c_g * (p . G_g[i][:, b]) = 0
     cons = []
-    slices = _block_slices(profile)
-    for (pos, n, m), part in zip(slices, u.parts):
+    for (pos, n, m), part in zip(profile.slices, u.parts):
         comp = orthogonal_complement(part)
         for prow in comp.basis:
             for b in range(m):
@@ -247,16 +213,9 @@ def shorten(code: LinearCode, u: SubspaceTuple) -> LinearCode:
     if not cons:
         return code
     sol = nullspace(Mat(F, cons))
-    gens = []
-    for coeffs in sol.basis:
-        vec = [0] * profile.dim
-        for c, row in zip(coeffs, code._flat):
-            if c:
-                for pos2, rv in enumerate(row):
-                    if rv:
-                        vec[pos2] = F.add(vec[pos2], F.mul(c, rv))
-        gens.append(unflatten(profile, vec))
-    return code_create(profile, gens)
+    return code_create(profile, [
+        unflatten(profile, linear_combination(coeffs, code._flat, profile.dim, F))
+        for coeffs in sol.basis])
 
 
 def duality_shorten_check(code: LinearCode, u: SubspaceTuple) -> bool:
@@ -349,15 +308,6 @@ def _tail_head_positions(profile: Profile, j: int, delta: int):
     return tuple(tail), tuple(head)
 
 
-def _position_offsets(profile: Profile):
-    offs = []
-    pos = 0
-    for n, m in profile.blocks:
-        offs.append(pos)
-        pos += n * m
-    return offs
-
-
 def systematic_form(code: LinearCode, witness: MsrdWitness | None = None,
                     override=False) -> SystematicForm:
     """Row-reduce with tail columns first; MSRD guarantees a full tail pivot set."""
@@ -371,10 +321,8 @@ def systematic_form(code: LinearCode, witness: MsrdWitness | None = None,
     F = code.field
     j, delta = witness.j, witness.delta
     tail, head = _tail_head_positions(profile, j, delta)
-    offs = _position_offsets(profile)
-    ms = profile.ms
-    order = [offs[i] + a * ms[i] + b for i, a, b in tail]
-    order += [offs[i] + a * ms[i] + b for i, a, b in head]
+    slices = profile.slices
+    order = [slices[i][0] + a * slices[i][2] + b for i, a, b in tail + head]
     inv = [0] * profile.dim
     for new, old in enumerate(order):
         inv[old] = new
@@ -516,7 +464,3 @@ def msrd_puncture_row(code: LinearCode, s: int, order=None,
     out = _rebuild(code.field, new_blocks, gens_blocks)
     assert out.k == code.k, "puncturing an MSRD code must preserve dimension"
     return out
-
-
-def same_subspace(a: LinearCode, b: LinearCode) -> bool:
-    return a.profile == b.profile and a._flat == b._flat

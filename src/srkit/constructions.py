@@ -10,12 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .ambient import MatrixTuple, Profile, profile_create
+from .ambient import MatrixTuple, Profile, profile_create, unflatten
 from .bounds import induced_bounds
-from .code import LinearCode, code_create, dual
+from .code import LinearCode, code_create, codewords, dual
 from .errors import BadParameters, HypothesisFailed, LengthTooLong
 from .field import Field, tower_create
-from .matq import Mat, rank
+from .matq import Mat, linear_combination, nullspace, rank
 
 
 def gabidulin_mrd(field: Field, n: int, m: int, d: int) -> LinearCode:
@@ -123,43 +123,21 @@ def construct_d2(field: Field, blocks) -> D2Result:
     ms = profile.ms
     if len(set(ms)) == 1:
         return _construct_d2_equal_m(field, profile)
-    # mixed m: build in the widened space, then cut the extra columns
+    # mixed m: build in the widened space, keep the words whose extra
+    # columns vanish, then cut those columns
     m1 = ms[0]
     wide = _construct_d2_equal_m(
         field, profile_create(field, [(n, m1) for n, _ in profile.blocks])).code
-    cons = []
-    for g in range(wide.k):
-        vec = wide._flat[g]
-        row = []
-        pos = 0
-        for (n, _), (n2, m2) in zip(wide.profile.blocks, profile.blocks):
-            for i in range(n):
-                for b in range(m2, m1):
-                    row.append(vec[pos + i * m1 + b])
-            pos += n * m1
-        cons.append(row)
-    cols = list(zip(*cons)) if cons else []
-    from .matq import nullspace
-    sol = nullspace(Mat(field, cols)) if cols else None
-    gens = []
-    coeff_rows = sol.basis if sol is not None else \
-        Mat.identity(field, wide.k).rows
-    for coeffs in coeff_rows:
-        vec = [0] * wide.profile.dim
-        for c, row in zip(coeffs, wide._flat):
-            if c:
-                for pos2, rv in enumerate(row):
-                    if rv:
-                        vec[pos2] = field.add(vec[pos2], field.mul(c, rv))
-        # strip the zero columns down to the true profile
-        out_blocks = []
-        pos = 0
-        for (n, _), (n2, m2) in zip(wide.profile.blocks, profile.blocks):
-            rows = [[vec[pos + i * m1 + b] for b in range(m2)] for i in range(n)]
-            out_blocks.append(Mat(field, rows))
-            pos += n * m1
-        gens.append(MatrixTuple(profile, out_blocks))
-    code = code_create(profile, gens)
+    keep, cut = [], []
+    for (pos, n, _), (_, m2) in zip(wide.profile.slices, profile.blocks):
+        for i in range(n):
+            for b in range(m1):
+                (keep if b < m2 else cut).append(pos + i * m1 + b)
+    sol = nullspace(Mat(field, [[vec[c] for vec in wide._flat] for c in cut]))
+    narrow = [[vec[c] for c in keep] for vec in wide._flat]
+    code = code_create(profile, [
+        unflatten(profile, linear_combination(coeffs, narrow, profile.dim, field))
+        for coeffs in sol.basis])
     expect = sum(m * n for n, m in profile.blocks[1:]) + ms[0] * (profile.ns[0] - 1)
     if code.k != expect:
         raise BadParameters("distance-2 intersection lost rank (internal error)")
@@ -393,35 +371,23 @@ def construct_lifting(field: Field, blocks, deltas, h: int,
             raise HypothesisFailed(
                 f"h = {h} exceeds the inner code dimension {m * (n - delta + 1)}")
     tower = tower_create(field, h)
-    inner = {}
+    # inner[i]: flat rows of the first h basis elements of block i's MRD code
+    mrd = {}
+    inner = []
     for (n, m), delta in zip(profile.blocks, deltas):
-        key = (n, m, delta)
-        if key not in inner:
-            inner[key] = [g.blocks[0] for g in
-                          gabidulin_mrd(field, n, m, delta).basis[:h]]
-
-    def phi(i, alpha_code):
-        n, m = profile.blocks[i]
-        coords = tower.coords(alpha_code)
-        basis = inner[(n, m, deltas[i])]
-        rows = [[0] * m for _ in range(n)]
-        for c, M in zip(coords, basis):
-            if c:
-                for r in range(n):
-                    row = M.rows[r]
-                    for cc in range(m):
-                        if row[cc]:
-                            rows[r][cc] = field.add(rows[r][cc],
-                                                    field.mul(c, row[cc]))
-        return Mat(field, rows)
+        if (n, m, delta) not in mrd:
+            mrd[(n, m, delta)] = gabidulin_mrd(field, n, m, delta)._flat[:h]
+        inner.append(mrd[(n, m, delta)])
 
     gens = []
     for word in outer_generators:
         if len(word) != profile.t:
             raise BadParameters("outer words must have one symbol per block")
         word = profile.from_user_order(list(word))
-        gens.append(MatrixTuple(profile,
-                                [phi(i, a) for i, a in enumerate(word)]))
+        vec = []
+        for (_, n, m), rows, a in zip(profile.slices, inner, word):
+            vec += linear_combination(tower.coords(a), rows, n * m, field)
+        gens.append(unflatten(profile, vec))
     code = code_create(profile, gens)
     if code.k != len(gens):
         raise BadParameters("outer generators were dependent over F_q")
@@ -479,7 +445,7 @@ def simplex_lift(field: Field, m: int, n: int, r: int):
     inner = gabidulin_mrd(field, n, m, n)
     inner_rank_checked = all(
         rank(w.blocks[0]) == n
-        for w in _all_words_small(inner))
+        for w in codewords(inner) if not w.is_zero())
     weight = n * delta
     ip = induced_bounds(code.profile, weight)["plotkin"]
     cert = SimplexLiftCertificate(
@@ -488,8 +454,3 @@ def simplex_lift(field: Field, m: int, n: int, r: int):
         inner_rank_checked=inner_rank_checked,
         columns_distinct=columns_distinct)
     return code, cert
-
-
-def _all_words_small(code: LinearCode):
-    from .code import codewords
-    return [w for w in codewords(code) if not w.is_zero()]

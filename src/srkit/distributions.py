@@ -16,9 +16,8 @@ from .ambient import (
     SubspaceTuple,
     enumerate_lattice,
     lattice_size,
-    support,
 )
-from .code import LinearCode, _iter_flat_words, _block_slices
+from .code import LinearCode, _iter_flat_words
 from .errors import IncompleteDistribution, UnequalColumnSizes
 from .guard import check_enum, check_keys
 from .matq import (
@@ -74,7 +73,7 @@ def brute_distributions(code: LinearCode, override=False):
     """One sweep over the codewords: all three distributions, exact."""
     profile = code.profile
     F = code.field
-    slices = _block_slices(profile)
+    slices = profile.slices
     srk_counts = [0] * (profile.N + 1)
     supp_counts = {}
     for _, vec in _iter_flat_words(code, override):
@@ -245,24 +244,12 @@ def f_ell(u, ell: int, q: int) -> int:
     return acc[ell] if 0 <= ell < len(acc) else 0
 
 
-def _require_equal_m(profile_or_ms):
-    if isinstance(profile_or_ms, Profile):
-        ms = profile_or_ms.ms
-    else:
-        ms = tuple(profile_or_ms)
+def msrd_support_distribution(profile: Profile, d: int, u) -> int:
+    """W_U of an MSRD code with equal column counts, depending only on dim(U)."""
+    ms = profile.ms
     if len(set(ms)) != 1:
         raise UnequalColumnSizes(f"column counts {ms} are not all equal")
-    return ms[0]
-
-
-def msrd_support_count(shape, m: int, q: int, d: int, u) -> int:
-    """W_U of an MSRD code with equal column count m, depending only on dim(U)."""
-    return omega(shape, m, q, d, u)
-
-
-def msrd_support_distribution(profile: Profile, d: int, u) -> int:
-    m = _require_equal_m(profile)
-    return msrd_support_count(profile.ns, m, profile.field.q, d, u)
+    return omega(profile.ns, ms[0], profile.field.q, d, u)
 
 
 def omega(shape, m: int, q: int, d: int, u) -> int:

@@ -399,17 +399,6 @@ class Field:
             raise ValueError(f"code {code} outside [0, {self.q})")
         return FieldElement(self, code)
 
-    @property
-    def zero(self):
-        return FieldElement(self, 0)
-
-    @property
-    def one(self):
-        return FieldElement(self, 1)
-
-    def elements(self):
-        return (FieldElement(self, c) for c in range(self.q))
-
 
 class FieldElement:
     """A single element of a Field; thin wrapper around an integer code."""
@@ -494,36 +483,36 @@ def field_create(p: int, k: int = 1, modulus=None) -> Field:
     return _field_cached(p, k, mod)
 
 
-def field_from_order(q: int) -> Field:
-    """GF(q) for a prime power q, with the default modulus."""
-    for p in prime_factors(q):
-        k = 0
-        n = q
-        while n % p == 0:
-            n //= p
-            k += 1
-        if n == 1:
-            return field_create(p, k)
-    raise NotPrime(f"{q} is not a prime power")
+def prime_power(q) -> tuple[int, int]:
+    """(p, k) with q = p^k, for q an int or text such as '2', '2^4' or '9'.
+
+    Builds no field, so it also serves to check a size that is never built.
+    """
+    text = str(q)
+    try:
+        if "^" in text:
+            p, k = (int(x) for x in text.split("^", 1))
+            if not is_prime(p):
+                raise NotPrime(f"{p} is not prime")
+            if k < 1:
+                raise DegreeMismatch(f"extension degree must be >= 1, got {k}")
+            return p, k
+        q = int(text)
+    except ValueError:
+        raise NotPrime(f"{text!r} is not a field size") from None
+    factors = prime_factors(q)
+    if len(factors) != 1:
+        raise NotPrime(f"{q} is not a prime power")
+    p, k = factors[0], 0
+    while q > 1:
+        q //= p
+        k += 1
+    return p, k
 
 
-def field_arith(a: FieldElement, b, op: str) -> FieldElement:
-    """Binary/unary arithmetic dispatch: add, sub, mul, div, inv, pow."""
-    F = a.field
-    if op == "inv":
-        return FieldElement(F, F.inv(a.code))
-    if op == "pow":
-        return FieldElement(F, F.pow(a.code, int(b)))
-    if not isinstance(b, FieldElement) or b.field != F:
-        raise MixedFields("operands live in different fields")
-    fn = {"add": F.add, "sub": F.sub, "mul": F.mul, "div": F.div}.get(op)
-    if fn is None:
-        raise ValueError(f"unknown op {op!r}")
-    return FieldElement(F, fn(a.code, b.code))
-
-
-def frobenius(a: FieldElement, i: int = 1) -> FieldElement:
-    return FieldElement(a.field, a.field.frobenius(a.code, i))
+def field_from_order(q) -> Field:
+    """GF(q) with the default modulus; q as accepted by prime_power."""
+    return field_create(*prime_power(q))
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +557,7 @@ class Tower:
         return acc
 
     def _setup_coords(self):
-        p = self.base.p
+        from .matq import _rref_rows
         k, m = self.base.k, self.m
         km = k * m
         top = self.top
@@ -578,25 +567,14 @@ class Tower:
             bj = top.pow(self._beta, j)
             for i in range(k):
                 cols.append(top._digits(top.mul(bj, top.pow(self._root, i))))
-        # invert the km x km matrix over GF(p)
+        # invert the km x km matrix over GF(p): RREF of [A | I] is [I | A^-1]
         aug = [[cols[c][r] for c in range(km)]
                + [1 if c2 == r else 0 for c2 in range(km)]
                for r in range(km)]
-        n = km
-        row = 0
-        for col in range(n):
-            piv = next((r for r in range(row, n) if aug[r][col]), None)
-            if piv is None:
-                raise IncompatibleTower("basis powers are dependent")
-            aug[row], aug[piv] = aug[piv], aug[row]
-            inv = pow(aug[row][col], p - 2, p)
-            aug[row] = [(x * inv) % p for x in aug[row]]
-            for r in range(n):
-                if r != row and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[row])]
-            row += 1
-        self._inv_matrix = [r[n:] for r in aug]
+        aug, rk, _ = _rref_rows(aug, km, field_create(self.base.p))
+        if rk != km:
+            raise IncompatibleTower("basis powers are dependent")
+        self._inv_matrix = [r[km:] for r in aug]
 
     def coords(self, a) -> tuple:
         """Coordinates of a top-field element over the base, length m."""

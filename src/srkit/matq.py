@@ -92,6 +92,28 @@ def _rref_rows(rows, ncols, F):
     return rows, r, pivots
 
 
+def linear_combination(coeffs, rows, width, F):
+    """sum_g coeffs[g] * rows[g] as a list of `width` field codes."""
+    out = [0] * width
+    for c, row in zip(coeffs, rows):
+        if c:
+            for pos, x in enumerate(row):
+                if x:
+                    out[pos] = F.add(out[pos], F.mul(c, x))
+    return out
+
+
+def in_rref_span(rows, vec, F) -> bool:
+    """Whether vec lies in the span of RREF rows: clear each pivot, test zero."""
+    v = list(vec)
+    for row in rows:
+        p = next(i for i, x in enumerate(row) if x)
+        if v[p]:
+            f = v[p]
+            v = [F.sub(x, F.mul(f, y)) for x, y in zip(v, row)]
+    return not any(v)
+
+
 def rref(m: Mat):
     """Reduced row-echelon form: (Mat, rank, pivot columns)."""
     rows, rank, pivots = _rref_rows([list(r) for r in m.rows], m.ncols, m.field)
@@ -129,14 +151,7 @@ class Subspace:
         return cls(field, n, Mat.identity(field, n).rows, canonical=True)
 
     def contains_vector(self, vec):
-        F = self.field
-        v = list(vec)
-        for row in self.basis:
-            p = next(i for i, x in enumerate(row) if x)
-            if v[p]:
-                f = v[p]
-                v = [F.sub(x, F.mul(f, y)) for x, y in zip(v, row)]
-        return all(x == 0 for x in v)
+        return in_rref_span(self.basis, vec, self.field)
 
     def contains(self, other: "Subspace") -> bool:
         return all(self.contains_vector(r) for r in other.basis)
@@ -157,10 +172,6 @@ class Subspace:
 
 def colspace(m: Mat) -> Subspace:
     return Subspace(m.field, m.nrows, list(zip(*m.rows)) if m.rows else ())
-
-
-def rowspace(m: Mat) -> Subspace:
-    return Subspace(m.field, m.ncols, m.rows)
 
 
 def nullspace(m: Mat) -> Subspace:

@@ -189,3 +189,48 @@ def oracle_sphere_counts(blocks, q):
             pos += n * m
         counts[w] += 1
     return counts
+
+
+def oracle_ops(q):
+    """(add, mul) on element codes of GF(q) for q in {2, 3, 4}, written out
+    directly; GF(4) is GF(2)[x] / (x^2 + x + 1), codes c0 + 2 c1."""
+    if q == 4:
+        def mul(a, b):
+            r = (a if b & 1 else 0) ^ (a << 1 if b & 2 else 0)
+            return r ^ 0b111 if r & 4 else r
+        return (lambda a, b: a ^ b), mul
+    return (lambda a, b: (a + b) % q), (lambda a, b: a * b % q)
+
+
+def oracle_rank(rows, q):
+    """Rank over GF(q), q in {2, 3, 4}."""
+    if q == 2:
+        return oracle_rank_gf2(rows)
+    if q == 3:
+        return oracle_rank_modp(rows, 3)
+    add, mul = oracle_ops(4)
+    inv = {1: 1, 2: 3, 3: 2}
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        lead = inv[rows[rank][col]]
+        rows[rank] = [mul(lead, x) for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col]  # characteristic 2: subtracting is adding
+                rows[i] = [add(x, mul(f, y)) for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def oracle_combination(coeffs, rows, q):
+    """sum_g coeffs[g] * rows[g] over GF(q), q in {2, 3, 4}."""
+    add, mul = oracle_ops(q)
+    out = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        out = [add(x, mul(c, y)) for x, y in zip(out, row)]
+    return out

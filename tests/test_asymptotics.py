@@ -6,7 +6,6 @@ from srkit.asymptotics import (
     BOUND_KEYS,
     AsymptoticScenario,
     asymptotic_induced,
-    asymptotic_projective_sphere_packing,
     asymptotic_singleton,
     asymptotic_sphere_pack_cover,
     asymptotic_total_distance,
@@ -101,8 +100,8 @@ class TestSingletonFamily:
 
     def test_projective_agrees(self):
         for eta in (0.0, 0.3, 0.9):
-            assert asymptotic_projective_sphere_packing(eta) == \
-                asymptotic_singleton(eta)
+            assert evaluate_bound("projective-sphere-packing", eta,
+                                  SC_WIDE) == asymptotic_singleton(eta)
 
 
 class TestSumRankEntropy:

@@ -1,10 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     msrd_d4_gf3_code,
     msrd_d6_code,
+    oracle_combination,
+    oracle_rank,
     random_code,
     random_subspace_tuple,
     rank2_plus_pivot_code,
@@ -18,6 +22,7 @@ from srkit.ambient import (
     profile_create,
     support,
     sumrank_weight,
+    unflatten,
 )
 from srkit.code import (
     code_create,
@@ -30,7 +35,6 @@ from srkit.code import (
     msrd_puncture_row,
     msrd_shorten_col,
     msrd_shorten_row,
-    same_subspace,
     shorten,
     singleton_decomposition,
     systematic_form,
@@ -48,6 +52,7 @@ from srkit.matq import Mat, Subspace
 
 F2 = field_create(2)
 F3 = field_create(3)
+F4 = field_create(2, 2)
 
 
 class TestCreate:
@@ -66,6 +71,42 @@ class TestCreate:
         p2 = profile_create(F2, [(1, 2)])
         with pytest.raises(ProfileMismatch):
             code_create(p1, [MatrixTuple.zero(p2)])
+
+
+class TestMembership:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.sampled_from([F2, F3, F4]), st.data())
+    def test_agrees_with_rank_oracle(self, F, data):
+        blocks = data.draw(st.sampled_from(
+            [[(2, 2)], [(1, 2), (1, 1)], [(2, 3), (1, 2)]]))
+        p = profile_create(F, blocks)
+        q, dim = F.q, p.dim
+        elem = st.integers(0, q - 1)
+        vec = st.lists(elem, min_size=dim, max_size=dim)
+        gens = data.draw(st.lists(vec, max_size=dim - 1))
+        C = code_create(p, [unflatten(p, g) for g in gens])
+        rows = [list(r) for r in C._flat]
+        assert C.k == oracle_rank(gens, q) == oracle_rank(rows, q)
+        S = Subspace(F, dim, rows, canonical=True)
+
+        def agrees(v, expect):
+            return C.contains(unflatten(p, v)) == S.contains_vector(v) == expect
+
+        assert all(agrees(r, True) for r in rows)
+        word = [0] * dim
+        if rows:
+            coeffs = data.draw(st.lists(elem, min_size=C.k, max_size=C.k))
+            word = oracle_combination(coeffs, rows, q)
+            assert agrees(word, True)
+        # k < dim, so some unit vector lies outside the code, and so does
+        # its sum with any codeword
+        unit = next(e for e in ([int(i == j) for i in range(dim)]
+                                for j in range(dim))
+                    if oracle_rank(rows + [e], q) > C.k)
+        assert agrees(unit, False)
+        assert agrees(oracle_combination([1, 1], [word, unit], q), False)
+        v = data.draw(vec)
+        assert agrees(v, oracle_rank(rows + [v], q) == C.k)
 
 
 class TestCodewords:
@@ -121,7 +162,7 @@ class TestDual:
         for _ in range(50):
             F = rng.choice([F2, F3])
             C = random_code(rng, F, [(2, 2), (1, 2)], rng.randrange(0, 5))
-            assert same_subspace(dual(dual(C)), C)
+            assert dual(dual(C)) == C
             assert C.k + dual(C).k == C.profile.dim
 
     def test_single_generator(self):
@@ -145,14 +186,14 @@ class TestDual:
                 for x, y in zip(r1, r2):
                     dot = F2.add(dot, F2.mul(x, y))
             gens.append(MatrixTuple(p, [B, Mat(F2, [[F2.neg(dot)]])]))
-        assert same_subspace(D, code_create(p, gens))
+        assert D == code_create(p, gens)
         assert D.k == 2
 
 
 class TestShorten:
     def test_full_and_zero(self):
         C = msrd_d6_code(F2)
-        assert same_subspace(shorten(C, SubspaceTuple.full(C.profile)), C)
+        assert shorten(C, SubspaceTuple.full(C.profile)) == C
         assert shorten(C, SubspaceTuple.zero(C.profile)).k == 0
 
     def test_brute_filter_oracle(self):
@@ -191,7 +232,7 @@ class TestShorten:
             u = random_subspace_tuple(rng, p)
             lhs = shorten(Pi, u.dual())
             rhs = dual(shorten(Pi, u))
-            assert same_subspace(lhs, rhs)
+            assert lhs == rhs
 
 
 class TestEquivalentDistanceCriterion:

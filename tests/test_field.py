@@ -11,10 +11,9 @@ from srkit.errors import (
 )
 from srkit.field import (
     conway_polynomial,
-    field_arith,
     field_create,
-    frobenius,
     is_irreducible,
+    prime_power,
     tower_create,
 )
 
@@ -75,13 +74,28 @@ def test_basic_arith():
         F4.inv(0)
 
 
+@pytest.mark.parametrize("q,expect", [
+    (2, (2, 1)), ("2^4", (2, 4)), ("9", (3, 2)), (65536, (2, 16)), (" 7 ", (7, 1)),
+])
+def test_prime_power(q, expect):
+    assert prime_power(q) == expect
+
+
+@pytest.mark.parametrize("q,err", [
+    ("6", NotPrime), (1, NotPrime), ("4^2", NotPrime), ("2^a", NotPrime),
+    ("x", NotPrime), ("2^0", DegreeMismatch),
+])
+def test_prime_power_rejects(q, err):
+    with pytest.raises(err):
+        prime_power(q)
+
+
 def test_element_wrappers_and_dispatch():
     F4 = field_create(2, 2)
     x = F4.element(2)
     assert (x * x).code == 3
-    assert field_arith(x, x, "mul").code == 3
-    assert field_arith(x, None, "inv").code == F4.inv(2)
-    assert field_arith(x, 3, "pow").code == F4.pow(2, 3)
+    assert (F4.element(1) / x).code == F4.inv(2)
+    assert (x ** 3).code == F4.pow(2, 3)
     F2 = field_create(2)
     with pytest.raises(MixedFields):
         x + F2.element(1)
@@ -92,7 +106,7 @@ def test_frobenius_values():
     assert F4.frobenius(2, 1) == 3
     assert F4.frobenius(0, 5) == 0
     assert F4.frobenius(2, 2) == 2  # q-th power fixes the field
-    assert frobenius(F4.element(2), 1).code == 3
+    assert (F4.element(2) ** 2).code == F4.frobenius(2, 1) == 3
 
 
 FIELDS = [field_create(2), field_create(3), field_create(2, 2),

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import oracle_combination
 from srkit.field import field_create
 from srkit.matq import (
     Mat,
@@ -11,6 +12,7 @@ from srkit.matq import (
     colspace,
     enumerate_subspaces,
     gaussian_binomial,
+    linear_combination,
     nullspace,
     orthogonal_complement,
     parse_mat,
@@ -60,6 +62,19 @@ class TestColspace:
 
     def test_repeated_column(self):
         assert colspace(Mat(F2, [[1, 0], [1, 0]])).basis == ((1, 1),)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from([F2, F3, F4]), st.data())
+def test_linear_combination_matches_oracle(F, data):
+    width = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(1, 4))
+    elem = st.integers(0, F.q - 1)
+    rows = data.draw(st.lists(st.lists(elem, min_size=width, max_size=width),
+                              min_size=k, max_size=k))
+    coeffs = data.draw(st.lists(elem, min_size=k, max_size=k))
+    assert linear_combination(coeffs, rows, width, F) == \
+        oracle_combination(coeffs, rows, F.q)
 
 
 class TestSubspaceOps:

@@ -86,6 +86,49 @@ class TestExitCodes:
         assert main(["check", str(path)]) == 0
 
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["bounds", "--q", "2^a", "--profile", "2x2", "--d", "1"],
+                     id="q-exponent-not-int"),
+        pytest.param(["bounds", "--q", "4^2", "--profile", "2x2", "--d", "1"],
+                     id="q-base-not-prime"),
+        pytest.param(["omega", "--q", "6", "--m", "3", "--shape", "3,3,2",
+                      "--d", "7"], id="omega-q-not-prime-power"),
+        pytest.param(["omega", "--q", "3", "--m", "3", "--shape", "3,3,2",
+                      "--d", "0"], id="omega-d-zero"),
+        pytest.param(["asymptotics", "--q", "6", "--m", "4", "--n", "2",
+                      "--bounds", "singleton"],
+                     id="asymptotics-q-not-prime-power"),
+        pytest.param(["bounds", "--q", "2", "--profile", "2xa", "--d", "1"],
+                     id="profile-token-not-int"),
+        pytest.param(["check", "{tmp}/bad_profile.src"],
+                     id="src-profile-token-not-int"),
+        pytest.param(["check", "{tmp}/missing.src"], id="missing-file"),
+        pytest.param(["sphere-volume", "--q", "2", "--profile", "2x2",
+                      "--r", "-1"], id="negative-radius"),
+    ])
+    def test_bad_input_is_a_usage_error(self, argv, tmp_path, capsys):
+        text = (FIXTURES / "msrd_d6_8blocks.src").read_text()
+        (tmp_path / "bad_profile.src").write_text(
+            text.replace("profile 1x2x5,1x1x3", "profile 1x2x5,1xax3"))
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_dual_walked_once(self, monkeypatch):
+        import srkit.cli
+        calls = []
+        walk = srkit.cli.brute_distributions
+
+        def counting(code, *args, **kwargs):
+            calls.append(code.k)
+            return walk(code, *args, **kwargs)
+
+        monkeypatch.setattr(srkit.cli, "brute_distributions", counting)
+        rc, out = run_cli(["distributions", str(FIXTURES / "dualpair_a.src"),
+                           "--dual", "--check-macwilliams"])
+        assert rc == 0 and "macwilliams: support ok, rank-list ok" in out
+        assert len(calls) == 2
+
+
 class TestDeterminism:
     def test_repeat_runs_identical(self):
         argv = ["bounds", "--q", "2", "--profile", "2x2,1x2x7,1x1x5",
