@@ -44,7 +44,7 @@ from .distributions import (
     omega_exclusion_scan,
     omega_hat_exclusion_scan,
 )
-from .errors import BadDistance, SrkitError, TooLarge
+from .errors import BadDistance, BadParameters, SrkitError, TooLarge
 from .field import field_from_order, prime_power
 from .srcfile import parse_src, write_src
 
@@ -217,9 +217,27 @@ def cmd_omega(args, out):
     return 0
 
 
+# flags each construction needs, by argparse dest
+CONSTRUCT_REQUIRES = {
+    "gabidulin": ("n", "m", "d"),
+    "mds-lift": ("m", "t", "d"),
+    "d2": ("profile",),
+    "dn": ("profile",),
+    "dn-minus": ("profile",),
+    "msrd111": ("profile", "t2"),
+    "combine": ("profile", "t2", "m_hat"),
+    "msrd111-ext": ("m", "s"),
+    "simplex-lift": ("m", "n", "r"),
+}
+
+
 def cmd_construct(args, out):
-    field = field_from_order(args.q)
     name = args.name
+    missing = [f"--{dest.replace('_', '-')}"
+               for dest in CONSTRUCT_REQUIRES[name] if getattr(args, dest) is None]
+    if missing:
+        raise BadParameters(f"construct {name} needs {', '.join(missing)}")
+    field = field_from_order(args.q)
     if name == "gabidulin":
         code = gabidulin_mrd(field, args.n, args.m, args.d)
     elif name == "mds-lift":
@@ -249,8 +267,6 @@ def cmd_construct(args, out):
         if args.out:
             write_src(code, args.out)
         return 0 if cert.meets_plotkin else 1
-    else:
-        raise SrkitError(f"unknown construction {name!r}")
     line = f"constructed dim {code.k} in " \
            f"{format_profile(code.profile.original_blocks)} over GF({field.q})"
     if args.certify:
@@ -366,9 +382,7 @@ def build_parser():
     p.set_defaults(fn=cmd_omega)
 
     p = sub.add_parser("construct", help="build a code family member")
-    p.add_argument("name", choices=("gabidulin", "mds-lift", "d2", "dn",
-                                    "dn-minus", "msrd111", "combine",
-                                    "msrd111-ext", "simplex-lift"))
+    p.add_argument("name", choices=tuple(CONSTRUCT_REQUIRES))
     p.add_argument("--q", required=True)
     p.add_argument("--profile", help="block list for profile-driven families")
     p.add_argument("--n", type=int)

@@ -462,5 +462,6 @@ def msrd_puncture_row(code: LinearCode, s: int, order=None,
         blocks[s - 1] = Mat(code.field, b.rows[:-1])
         gens_blocks.append(blocks)
     out = _rebuild(code.field, new_blocks, gens_blocks)
-    assert out.k == code.k, "puncturing an MSRD code must preserve dimension"
+    if out.k != code.k:
+        raise NotMsrd("puncturing an MSRD code must preserve dimension")
     return out

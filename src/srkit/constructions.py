@@ -13,7 +13,7 @@ from itertools import combinations
 from .ambient import MatrixTuple, Profile, profile_create, unflatten
 from .bounds import induced_bounds
 from .code import LinearCode, code_create, codewords, dual
-from .errors import BadParameters, HypothesisFailed, LengthTooLong
+from .errors import BadParameters, HypothesisFailed, LengthTooLong, SrkitError
 from .field import Field, tower_create
 from .matq import Mat, linear_combination, nullspace, rank
 
@@ -431,7 +431,8 @@ def simplex_lift(field: Field, m: int, n: int, r: int):
                 rest //= Q
             cols.append(tuple(v))
     t = len(cols)
-    assert t == (Q ** r - 1) // (Q - 1)
+    if t != (Q ** r - 1) // (Q - 1):
+        raise SrkitError(f"{t} columns, not the points of PG({r - 1}, {Q})")
     outer = []
     for i in range(r):
         for beta_l in tower.basis():

@@ -18,7 +18,7 @@ from .ambient import (
     lattice_size,
 )
 from .code import LinearCode, _iter_flat_words
-from .errors import IncompleteDistribution, UnequalColumnSizes
+from .errors import IncompleteDistribution, SrkitError, UnequalColumnSizes
 from .guard import check_enum, check_keys
 from .matq import (
     Subspace,
@@ -98,6 +98,15 @@ def _signed_power(q, d):
     return (-1) ** d * q ** (d * (d - 1) // 2)
 
 
+def _exact_quotient(acc, cardinality):
+    """acc / |C|; exact whenever the input is the distribution of a code."""
+    quot, rem = divmod(acc, cardinality)
+    if rem:
+        raise IncompleteDistribution(
+            f"transform value {acc} is not a multiple of |C| = {cardinality}")
+    return quot
+
+
 def _support_factor_table(n, m, q):
     """g[(u, w)] = sum_{v<=u} q^{m v} (-1)^{u-v} q^{C(u-v,2)} [w v]_q."""
     table = {}
@@ -147,8 +156,7 @@ def macwilliams_support(dist: SupportDistribution, cardinality: int,
                     break
             acc += term
         if acc:
-            assert acc % cardinality == 0, "transform must divide |C| exactly"
-            out[u] = acc // cardinality
+            out[u] = _exact_quotient(acc, cardinality)
     return SupportDistribution(profile, out)
 
 
@@ -188,8 +196,7 @@ def macwilliams_ranklist(dist: RankListDistribution, cardinality: int,
                     break
             acc += term
         if acc:
-            assert acc % cardinality == 0
-            out[u] = acc // cardinality
+            out[u] = _exact_quotient(acc, cardinality)
     return RankListDistribution(profile, out)
 
 
@@ -296,7 +303,8 @@ def omega_fast_closed_form(shape, m: int, q: int, d: int):
     if u is None:
         return None, None
     s = sum(q ** ui for ui in u) - len(u)
-    assert s % (q - 1) == 0
+    if s % (q - 1):
+        raise SrkitError(f"sum of q^u_i - 1 = {s} is not a multiple of q - 1")
     return u, q ** (2 * m) - 1 - (q ** m - 1) // (q - 1) * s
 
 

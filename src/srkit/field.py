@@ -14,6 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import (
+    BadParameters,
     DegreeMismatch,
     DivisionByZero,
     IncompatibleTower,
@@ -26,21 +27,50 @@ from .errors import (
 MAX_Q = 1 << 20   # larger fields are refused: enumeration is hopeless anyway
 _FULL_TABLE_Q = 256
 _LOG_TABLE_Q = 1 << 16
+# Miller-Rabin to the first 13 prime bases is exact below this bound
+# (Sorenson and Webster); the bound itself is a strong pseudoprime to them.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _check_testable(n):
+    if n >= _MR_LIMIT:
+        raise BadParameters(f"{n} is too large: primality is decided exactly "
+                            f"only below {_MR_LIMIT}")
 
 
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; BadParameters for n >= 3.317e24."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    _check_testable(n)
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    m = n - 1
+    s = (m & -m).bit_length() - 1   # n - 1 = d * 2^s with d odd
+    d = m >> s
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
+
+
+def _iroot(n, k):
+    """floor(n ** (1/k)) for n >= 1, by integer Newton steps from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def prime_factors(n: int) -> list[int]:
@@ -280,7 +310,7 @@ class Field:
         self._exp = self._log = None
         self._mul_tab = self._add_tab = self._inv_tab = self._neg_tab = None
         if q <= _LOG_TABLE_Q and q > 2:
-            g = self._find_generator()
+            step = self._mul_by(self._find_generator())
             exp = [0] * (2 * (q - 1))
             log = [0] * q
             v = 1
@@ -288,7 +318,7 @@ class Field:
                 exp[i] = v
                 exp[i + q - 1] = v
                 log[v] = i
-                v = self._raw_mul(v, g)
+                v = step(v)
             self._exp, self._log = exp, log
         if q <= _FULL_TABLE_Q:
             add = [[self._slow_add(a, b) for b in range(q)] for a in range(q)]
@@ -315,6 +345,49 @@ class Field:
         if self.k >= 2 and primitive(self.p):
             return self.p
         return next(c for c in range(2, self.q) if primitive(c))
+
+    def _mul_by(self, g):
+        """The map v -> g*v on codes, from the k images g*x^i.
+
+        Multiplying by g is F_p-linear, so a step only combines images. For
+        p = 2 that is one XOR per byte of v, of the precomputed XOR of the
+        images its set bits select; otherwise the digits of v weight sparse
+        digit rows, reduced mod p.
+        """
+        p, k = self.p, self.k
+        images = [self._raw_mul(p ** i, g) for i in range(k)]
+        if p == 2:
+            # table[b] = XOR of the images selected by the bits of byte b
+            tables = []
+            for lo in range(0, k, 8):
+                table = [0]
+                for img in images[lo:lo + 8]:
+                    table += [w ^ img for w in table]
+                tables.append(table)
+
+            def step(v):
+                w = 0
+                for table in tables:
+                    w ^= table[v & 255]
+                    v >>= 8
+                return w
+            return step
+        rows = [[(j, c) for j, c in enumerate(self._digits(img)) if c]
+                for img in images]
+        places = range(k - 1, -1, -1)
+
+        def step(v):
+            acc = [0] * k
+            for row in rows:
+                v, d = divmod(v, p)
+                if d:
+                    for j, c in row:
+                        acc[j] += d * c
+            w = 0
+            for j in places:
+                w = w * p + acc[j] % p
+            return w
+        return step
 
     # -- arithmetic on codes --------------------------------------------------
 
@@ -464,7 +537,7 @@ def field_create(p: int, k: int = 1, modulus=None) -> Field:
         raise NotPrime(f"{p} is not prime")
     if k < 1:
         raise DegreeMismatch(f"extension degree must be >= 1, got {k}")
-    if p ** k > MAX_Q:
+    if k >= MAX_Q.bit_length() or p ** k > MAX_Q:
         raise TooLarge(f"q = {p}^{k} exceeds the supported maximum 2^20")
     if modulus is None:
         if k == 1:
@@ -487,6 +560,7 @@ def prime_power(q) -> tuple[int, int]:
     """(p, k) with q = p^k, for q an int or text such as '2', '2^4' or '9'.
 
     Builds no field, so it also serves to check a size that is never built.
+    Exact for q (or p) below 3.317e24; BadParameters at or above.
     """
     text = str(q)
     try:
@@ -500,14 +574,17 @@ def prime_power(q) -> tuple[int, int]:
         q = int(text)
     except ValueError:
         raise NotPrime(f"{text!r} is not a field size") from None
-    factors = prime_factors(q)
-    if len(factors) != 1:
-        raise NotPrime(f"{q} is not a prime power")
-    p, k = factors[0], 0
-    while q > 1:
-        q //= p
-        k += 1
-    return p, k
+    if q > 1:
+        _check_testable(q)
+        # at the largest k with an exact k-th root, the root is no perfect
+        # power, so q is a prime power exactly when that root is prime
+        for k in range(q.bit_length(), 0, -1):
+            p = _iroot(q, k)
+            if p ** k == q:
+                if is_prime(p):
+                    return p, k
+                break
+    raise NotPrime(f"{q} is not a prime power")
 
 
 def field_from_order(q) -> Field:

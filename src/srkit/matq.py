@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, product
 
-from .errors import AmbientMismatch
+from .errors import AmbientMismatch, SrkitError
 from .field import Field
 from .guard import check_subspaces
 
@@ -218,8 +218,10 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     for i in range(k):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
-    return num // den
+    quot, rem = divmod(num, den)
+    if rem:
+        raise SrkitError(f"Gaussian binomial [{n} {k}]_{q} is not an integer")
+    return quot
 
 
 @lru_cache(maxsize=None)

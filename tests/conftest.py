@@ -234,3 +234,32 @@ def oracle_combination(coeffs, rows, q):
     for c, row in zip(coeffs, rows):
         out = [add(x, mul(c, y)) for x, y in zip(out, row)]
     return out
+
+
+def oracle_is_prime(n):
+    """Trial division; quick for small n and for n with a small factor."""
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def oracle_mul(a, b, p, modulus):
+    """a * b on element codes of GF(p)[x] / (modulus): schoolbook product,
+    then long division by the monic modulus (coefficients lowest first)."""
+    k = len(modulus) - 1
+    da = [a // p ** i % p for i in range(k)]
+    db = [b // p ** i % p for i in range(k)]
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] += x * y
+    for i in range(2 * k - 2, k - 1, -1):
+        c = prod[i] % p
+        for j, m in enumerate(modulus):
+            prod[i - k + j] -= c * m
+    return sum(prod[i] % p * p ** i for i in range(k))

@@ -13,6 +13,8 @@ from srkit.ambient import enumerate_lattice, profile_create
 from srkit.code import code_create, dual, zero_code
 from srkit.distributions import (
     ConjectureReport,
+    RankListDistribution,
+    SupportDistribution,
     brute_distributions,
     binomial_moment_check,
     conjecture_scan,
@@ -120,6 +122,20 @@ class TestTransforms:
         _, _, supd = brute_distributions(zero_code(p))
         with pytest.raises(IncompleteDistribution):
             macwilliams_support(supd, 7)
+
+    def test_non_code_distribution_rejected(self):
+        # the counts sum to 3, but no linear code has 3 words
+        p = profile_create(F2, [(1, 2)])
+        _, rl, sup = brute_distributions(code_create(p, [tup(p, [[1, 0]])]))
+        rl3 = RankListDistribution(
+            p, {r: c * (1 + sum(r)) for r, c in rl.counts.items()})
+        sup3 = SupportDistribution(
+            p, {u: c * (1 + u.rank_L) for u, c in sup.counts.items()})
+        assert rl3.counts == {(0,): 1, (1,): 2} and sup3.total() == 3
+        with pytest.raises(IncompleteDistribution, match="not a multiple"):
+            macwilliams_ranklist(rl3, 3)
+        with pytest.raises(IncompleteDistribution, match="not a multiple"):
+            macwilliams_support(sup3, 3)
 
     def test_partition_identity(self):
         # sum over V <= U of W_V equals the shortened-code size

@@ -1,18 +1,24 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import oracle_is_prime, oracle_mul
 from srkit.errors import (
+    BadParameters,
     DegreeMismatch,
     DivisionByZero,
     MixedFields,
     NotPrime,
     ReducibleModulus,
+    TooLarge,
 )
 from srkit.field import (
     conway_polynomial,
     field_create,
     is_irreducible,
+    is_prime,
     prime_power,
     tower_create,
 )
@@ -55,6 +61,8 @@ def test_constructor_validation():
         field_create(2, 0)
     with pytest.raises(DegreeMismatch):
         field_create(2, 3, [1, 1, 1])  # degree 2 modulus for k=3
+    with pytest.raises(TooLarge):
+        field_create(2, 10 ** 15)  # refused before 2^k is computed
 
 
 def test_known_conway_polynomials():
@@ -76,6 +84,8 @@ def test_basic_arith():
 
 @pytest.mark.parametrize("q,expect", [
     (2, (2, 1)), ("2^4", (2, 4)), ("9", (3, 2)), (65536, (2, 16)), (" 7 ", (7, 1)),
+    ((2 ** 31 - 1) ** 2, (2 ** 31 - 1, 2)), (3 ** 40, (3, 40)),
+    (2 ** 61 - 1, (2 ** 61 - 1, 1)),
 ])
 def test_prime_power(q, expect):
     assert prime_power(q) == expect
@@ -83,11 +93,35 @@ def test_prime_power(q, expect):
 
 @pytest.mark.parametrize("q,err", [
     ("6", NotPrime), (1, NotPrime), ("4^2", NotPrime), ("2^a", NotPrime),
-    ("x", NotPrime), ("2^0", DegreeMismatch),
+    ("x", NotPrime), ("2^0", DegreeMismatch), (36, NotPrime),
+    (3825123056546413051, NotPrime),
+    (3317044064679887385961981, BadParameters), (10 ** 30, BadParameters),
+    ("3317044064679887385961981^1", BadParameters),
 ])
 def test_prime_power_rejects(q, err):
     with pytest.raises(err):
         prime_power(q)
+
+
+def test_is_prime_matches_trial_division():
+    assert ([n for n in range(20000) if is_prime(n)]
+            == [n for n in range(20000) if oracle_is_prime(n)])
+
+
+@pytest.mark.parametrize("n", [561, 3215031751, 3825123056546413051])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    # each has a factor below 150,000, so trial division ends quickly
+    assert not oracle_is_prime(n)
+    assert not is_prime(n)
+
+
+def test_is_prime_mersenne_primes():
+    assert oracle_is_prime(2 ** 31 - 1) and is_prime(2 ** 31 - 1)
+    # Lucas-Lehmer: 2^61 - 1 is prime iff s_59 == 0, s_0 = 4, s -> s^2 - 2
+    m, s = 2 ** 61 - 1, 4
+    for _ in range(59):
+        s = (s * s - 2) % m
+    assert s == 0 and is_prime(m)
 
 
 def test_element_wrappers_and_dispatch():
@@ -136,11 +170,63 @@ def test_frobenius_is_a_field_morphism(F, data):
     assert F.frobenius(F.mul(a, b)) == F.mul(F.frobenius(a), F.frobenius(b))
 
 
+def _order(F, c):
+    """Multiplicative order of c, by repeated oracle multiplication."""
+    v, n = c, 1
+    while v != 1:
+        v, n = oracle_mul(v, c, F.p, F.modulus), n + 1
+    return n
+
+
+def _check_steps(F, indices):
+    exp, log, g = F._exp, F._log, F._exp[1]
+    for i in indices:
+        assert exp[i + 1] == oracle_mul(exp[i], g, F.p, F.modulus), i
+        assert log[exp[i]] == i
+
+
+@pytest.mark.parametrize("p,k,modulus", (
+    [(2, k, None) for k in range(2, 13)] + [(3, k, None) for k in range(2, 6)]
+    + [(5, 2, None), (7, 2, None), (13, 2, None), (65521, 1, None),
+       (2, 4, (1, 1, 1, 1, 1)), (3, 2, (1, 0, 1))]))
+def test_log_tables_follow_the_generator(p, k, modulus):
+    F = field_create(p, k, modulus)
+    q = F.q
+    _check_steps(F, range(q - 1))
+    assert F._exp[q - 1:] == F._exp[:q - 1]
+    assert sorted(F._exp[:q - 1]) == list(range(1, q))
+    # x when it is primitive (every Conway modulus), else the smallest
+    # primitive code: x has order 5 and 4 under the two user moduli
+    x_primitive = k >= 2 and _order(F, p) == q - 1
+    assert x_primitive == (modulus is None and k >= 2)
+    expected = p if x_primitive else next(
+        c for c in range(2, q) if _order(F, c) == q - 1)
+    assert F._exp[1] == expected
+
+
+def test_log_tables_gf65536():
+    F = field_create(2, 16)
+    assert F._exp[1] == 2
+    _check_steps(F, random.Random(16).sample(range(F.q - 1), 2000))
+    assert sorted(F._exp[:F.q - 1]) == list(range(1, F.q))
+
+
 class TestTower:
     def test_roundtrip(self):
         t = tower_create(field_create(2, 2), 2)
         for code in range(16):
             assert t.uncoords(t.coords(code)) == code
+
+    def test_roundtrip_gf256_squared(self):
+        base = field_create(2, 8)
+        t = tower_create(base, 2)
+        assert t.top.q == 65536
+        rng = random.Random(256)
+        for code in [0, 1, 2, 65535] + rng.sample(range(65536), 300):
+            assert t.uncoords(t.coords(code)) == code
+        for _ in range(300):
+            vec = (rng.randrange(256), rng.randrange(256))
+            assert t.coords(t.uncoords(vec)) == vec
 
     def test_basis_images(self):
         t = tower_create(field_create(2), 4)

@@ -105,6 +105,9 @@ class TestExitCodes:
         pytest.param(["check", "{tmp}/missing.src"], id="missing-file"),
         pytest.param(["sphere-volume", "--q", "2", "--profile", "2x2",
                       "--r", "-1"], id="negative-radius"),
+        pytest.param(["omega", "--q", "3317044064679887385961981", "--m", "3",
+                      "--shape", "3,3,2", "--d", "7"],
+                     id="omega-q-beyond-exact-primality"),
     ])
     def test_bad_input_is_a_usage_error(self, argv, tmp_path, capsys):
         text = (FIXTURES / "msrd_d6_8blocks.src").read_text()
@@ -112,6 +115,32 @@ class TestExitCodes:
             text.replace("profile 1x2x5,1x1x3", "profile 1x2x5,1xax3"))
         assert main([a.format(tmp=tmp_path) for a in argv]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("name,flags", [
+        ("gabidulin", "--n, --m, --d"),
+        ("mds-lift", "--m, --t, --d"),
+        ("d2", "--profile"),
+        ("dn", "--profile"),
+        ("dn-minus", "--profile"),
+        ("msrd111", "--profile, --t2"),
+        ("combine", "--profile, --t2, --m-hat"),
+        ("msrd111-ext", "--m, --s"),
+        ("simplex-lift", "--m, --n, --r"),
+    ])
+    def test_construct_names_missing_flags(self, name, flags, capsys):
+        assert main(["construct", name, "--q", "2"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: construct {name} needs {flags}\n")
+
+    def test_construct_names_only_the_missing_flag(self, capsys):
+        argv = ["construct", "gabidulin", "--q", "2", "--n", "2", "--m", "2"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: construct gabidulin needs --d\n"
+
+    def test_huge_prime_q_is_checked_quickly(self):
+        rc, out = run_cli(["omega", "--q", "1000000000000000003", "--m", "3",
+                           "--shape", "3,3,2", "--d", "7"])
+        assert rc == 0 and out.startswith("Inconclusive")
 
     def test_dual_walked_once(self, monkeypatch):
         import srkit.cli
