@@ -28,7 +28,6 @@ from .matq import (
     colspace,
     count_matrices_of_rank,
     enumerate_subspaces,
-    gaussian_binomial,
     rank,
 )
 
@@ -317,20 +316,26 @@ def blockdiag_embed(x: MatrixTuple) -> Mat:
     return Mat(F, rows)
 
 
+def poly_product(polys) -> list[int]:
+    """Coefficients (lowest degree first) of a product of polynomials, each
+    given by its coefficient list."""
+    acc = [1]
+    for poly in polys:
+        out = [0] * (len(acc) + len(poly) - 1)
+        for i, a in enumerate(acc):
+            if a:
+                for j, c in enumerate(poly):
+                    out[i + j] += a * c
+        acc = out
+    return acc
+
+
 def weight_spectrum(profile: Profile) -> list[int]:
     """Count of ambient tuples at each sum-rank weight 0..N: the coefficients
     of prod_i (sum_s #{rank-s matrices} y^s)."""
     q = profile.field.q
-    acc = [1]
-    for n, m in profile.blocks:
-        block = [count_matrices_of_rank(n, m, s, q) for s in range(n + 1)]
-        out = [0] * (len(acc) + n)
-        for i, a in enumerate(acc):
-            if a:
-                for s, c in enumerate(block):
-                    out[i + s] += a * c
-        acc = out
-    return acc
+    return poly_product([count_matrices_of_rank(n, m, s, q) for s in range(n + 1)]
+                        for n, m in profile.blocks)
 
 
 def sphere_volume(profile: Profile, r: int) -> int:
@@ -388,10 +393,3 @@ def _dim_vectors(ns, total):
     for k in range(min(n0, total) + 1):
         for tail in _dim_vectors(rest, total - k):
             yield (k,) + tail
-
-
-def lattice_size(profile: Profile) -> int:
-    out = 1
-    for n in profile.ns:
-        out *= sum(gaussian_binomial(n, k, profile.field.q) for k in range(n + 1))
-    return out

@@ -1,28 +1,26 @@
 """Weight distributions, their MacWilliams transforms, and the MSRD
 support-distribution criteria.
 
-The two transforms factor across blocks: the inner alternating sum over
-v <= u is a product of per-block sums, so each is precomputed as a small
-table and the transform costs |L|^2 * t big-integer multiplies.
+The transforms' kernels factor across blocks, K(u, h) = prod_i K_i(u_i, h_i),
+so one kernel contracts the counts block by block: |L| * sum |L_i|
+big-integer multiplies, where L_i is block i's lattice (its subspaces, or
+its ranks 0..n_i) and L is their product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
+from math import prod
 
-from .ambient import (
-    Profile,
-    SubspaceTuple,
-    enumerate_lattice,
-    lattice_size,
-)
+from .ambient import Profile, SubspaceTuple, poly_product
 from .code import LinearCode, _iter_flat_words
 from .errors import IncompleteDistribution, SrkitError, UnequalColumnSizes
 from .guard import check_enum, check_keys
 from .matq import (
     Subspace,
     _rref_rows,
+    all_subspaces,
     gaussian_binomial,
     orthogonal_complement,
     subspace_intersect,
@@ -107,17 +105,62 @@ def _exact_quotient(acc, cardinality):
     return quot
 
 
-def _support_factor_table(n, m, q):
-    """g[(u, w)] = sum_{v<=u} q^{m v} (-1)^{u-v} q^{C(u-v,2)} [w v]_q."""
-    table = {}
-    for u in range(n + 1):
-        for w in range(n + 1):
-            acc = 0
-            for v in range(u + 1):
-                acc += (q ** (m * v) * _signed_power(q, u - v)
-                        * gaussian_binomial(w, v, q))
-            table[(u, w)] = acc
-    return table
+def _product_transform(counts, axes, kernels):
+    """Yield (u, sum_h counts[h] * prod_i K_i(u_i, h_i)) for every u.
+
+    counts maps key tuples (one element of axes[i] per block) to counts;
+    kernels[i][h] is the column (K_i(u, h) for u in axes[i]) at position h
+    of axes[i], and is only read for the h that some key reaches.  The
+    counts are laid out densely over the product of the axes, last block
+    fastest; each step contracts the leading block and rotates it to the
+    back.  Values come in itertools.product(*axes) order.
+    """
+    index = [{a: j for j, a in enumerate(axis)} for axis in axes]
+    dense = [0] * prod(len(axis) for axis in axes)
+    for key, c in counts.items():
+        pos = 0
+        for idx, a in zip(index, key):
+            pos = pos * len(idx) + idx[a]
+        dense[pos] += c
+    for axis, kernel in zip(axes, kernels):
+        width = len(dense) // len(axis)
+        out = [[0] * width for _ in axis]
+        for h in range(len(axis)):
+            row = dense[h * width:(h + 1) * width]
+            if any(row):
+                for u, c in enumerate(kernel[h]):
+                    if c:
+                        out[u] = [a + c * x for a, x in zip(out[u], row)]
+        dense = list(chain.from_iterable(zip(*out)))
+    return zip(product(*axes), dense)
+
+
+class _Columns(dict):
+    """Kernel columns by position h, each computed on first use."""
+
+    def __init__(self, column):
+        super().__init__()
+        self.column = column
+
+    def __missing__(self, h):
+        self[h] = col = self.column(h)
+        return col
+
+
+def _support_kernel(n, m, q, subspaces):
+    """Columns of K(u, h) = sum_{v<=u} q^{m v} (-1)^{u-v} q^{C(u-v,2)} [w v]_q
+    over the subspaces of GF(q)^n, with u, v dimensions and
+    w = dim(h^perp meet u)."""
+    g = [[sum(q ** (m * v) * _signed_power(q, u - v) * gaussian_binomial(w, v, q)
+              for v in range(u + 1))
+          for w in range(n + 1)]
+         for u in range(n + 1)]
+
+    def column(h):
+        perp = orthogonal_complement(subspaces[h])
+        return [g[u.dim][subspace_intersect(perp, u).dim] for u in subspaces]
+
+    return _Columns(column)
 
 
 def macwilliams_support(dist: SupportDistribution, cardinality: int,
@@ -130,48 +173,29 @@ def macwilliams_support(dist: SupportDistribution, cardinality: int,
             f"distribution sums to {dist.total()}, expected {cardinality}")
     F = profile.field
     q = F.q
-    check_enum(lattice_size(profile) ** 2, override, what="lattice transform")
-    factors = [_support_factor_table(n, m, q) for n, m in profile.blocks]
-    # per-block intersection-dimension tables keyed by canonical bases
-    inter = [dict() for _ in range(profile.t)]
-
-    def wdim(i, h_part, u_part):
-        key = (h_part.basis, u_part.basis)
-        tab = inter[i]
-        if key not in tab:
-            tab[key] = subspace_intersect(
-                orthogonal_complement(h_part), u_part).dim
-        return tab[key]
-
-    items = list(dist.counts.items())
-    out = {}
-    for u in enumerate_lattice(profile, override=override):
-        udims = u.dim_vector
-        acc = 0
-        for h, wh in items:
-            term = wh
-            for i in range(profile.t):
-                term *= factors[i][(udims[i], wdim(i, h.parts[i], u.parts[i]))]
-                if term == 0:
-                    break
-            acc += term
-        if acc:
-            out[u] = _exact_quotient(acc, cardinality)
-    return SupportDistribution(profile, out)
+    # |L_i| from q-binomials: an oversized block is refused before it is listed
+    sizes = [sum(gaussian_binomial(n, k, q) for k in range(n + 1))
+             for n in profile.ns]
+    check_enum(prod(sizes) * sum(sizes), override, what="lattice transform")
+    subspaces = {n: list(all_subspaces(n, F, override)) for n in set(profile.ns)}
+    by_shape = {(n, m): _support_kernel(n, m, q, subspaces[n])
+                for n, m in set(profile.blocks)}
+    values = _product_transform({h.parts: c for h, c in dist.counts.items()},
+                                [subspaces[n] for n in profile.ns],
+                                [by_shape[block] for block in profile.blocks])
+    return SupportDistribution(profile, {
+        SubspaceTuple(profile, u, check=False): _exact_quotient(acc, cardinality)
+        for u, acc in values if acc})
 
 
-def _ranklist_factor_table(n, m, q):
-    """g[(u, h)] with the [n-h v]_q [n-v u-v]_q kernel."""
-    table = {}
-    for u in range(n + 1):
-        for h in range(n + 1):
-            acc = 0
-            for v in range(u + 1):
-                acc += (q ** (m * v) * _signed_power(q, u - v)
-                        * gaussian_binomial(n - h, v, q)
-                        * gaussian_binomial(n - v, u - v, q))
-            table[(u, h)] = acc
-    return table
+def _ranklist_kernel(n, m, q):
+    """Columns of the rank-list kernel, with [n-h v]_q [n-v u-v]_q."""
+    return [[sum(q ** (m * v) * _signed_power(q, u - v)
+                 * gaussian_binomial(n - h, v, q)
+                 * gaussian_binomial(n - v, u - v, q)
+                 for v in range(u + 1))
+             for u in range(n + 1)]
+            for h in range(n + 1)]
 
 
 def macwilliams_ranklist(dist: RankListDistribution, cardinality: int,
@@ -182,22 +206,11 @@ def macwilliams_ranklist(dist: RankListDistribution, cardinality: int,
         raise IncompleteDistribution(
             f"distribution sums to {dist.total()}, expected {cardinality}")
     q = profile.field.q
-    ns = profile.ns
-    factors = [_ranklist_factor_table(n, m, q) for n, m in profile.blocks]
-    items = list(dist.counts.items())
-    out = {}
-    for u in product(*[range(n + 1) for n in ns]):
-        acc = 0
-        for h, wh in items:
-            term = wh
-            for i in range(profile.t):
-                term *= factors[i][(u[i], h[i])]
-                if term == 0:
-                    break
-            acc += term
-        if acc:
-            out[u] = _exact_quotient(acc, cardinality)
-    return RankListDistribution(profile, out)
+    values = _product_transform(
+        dist.counts, [range(n + 1) for n in profile.ns],
+        [_ranklist_kernel(n, m, q) for n, m in profile.blocks])
+    return RankListDistribution(profile, {
+        u: _exact_quotient(acc, cardinality) for u, acc in values if acc})
 
 
 def binomial_moment_check(code: LinearCode, override=False) -> bool:
@@ -208,26 +221,17 @@ def binomial_moment_check(code: LinearCode, override=False) -> bool:
     ns, ms = profile.ns, profile.ms
     _, rld, _ = brute_distributions(code, override)
     _, rld_dual, _ = brute_distributions(dual(code), override)
-    for u in product(*[range(n + 1) for n in ns]):
-        lhs = 0
-        for h, wh in rld.counts.items():
-            term = wh
-            for i in range(profile.t):
-                term *= gaussian_binomial(ns[i] - h[i], u[i] - h[i], q)
-                if term == 0:
-                    break
-            lhs += term
-        rhs = 0
-        for h, wh in rld_dual.counts.items():
-            term = wh
-            for i in range(profile.t):
-                term *= gaussian_binomial(ns[i] - h[i], u[i], q)
-                if term == 0:
-                    break
-            rhs += term
-        expo = sum(ms[i] * (ns[i] - u[i]) for i in range(profile.t))
+    axes = [range(n + 1) for n in ns]
+    lhs = _product_transform(rld.counts, axes, [
+        [[gaussian_binomial(n - h, u - h, q) for u in range(n + 1)]
+         for h in range(n + 1)] for n in ns])
+    rhs = _product_transform(rld_dual.counts, axes, [
+        [[gaussian_binomial(n - h, u, q) for u in range(n + 1)]
+         for h in range(n + 1)] for n in ns])
+    for (u, left), (_, right) in zip(lhs, rhs):
+        expo = sum(m * (n - ui) for n, m, ui in zip(ns, ms, u))
         # |C| rhs = lhs q^expo, cross-multiplied to stay in integers
-        if lhs * q ** expo != code.size() * rhs:
+        if left * q ** expo != code.size() * right:
             return False
     return True
 
@@ -238,16 +242,8 @@ def binomial_moment_check(code: LinearCode, override=False) -> bool:
 
 def f_ell(u, ell: int, q: int) -> int:
     """Alternating lattice sum over v <= u with |v| = ell (exact integer)."""
-    acc = [1]
-    for ui in u:
-        block = [_signed_power(q, ui - v) * gaussian_binomial(ui, v, q)
-                 for v in range(ui + 1)]
-        out = [0] * (len(acc) + ui)
-        for i, a in enumerate(acc):
-            if a:
-                for v, c in enumerate(block):
-                    out[i + v] += a * c
-        acc = out
+    acc = poly_product([_signed_power(q, ui - v) * gaussian_binomial(ui, v, q)
+                        for v in range(ui + 1)] for ui in u)
     return acc[ell] if 0 <= ell < len(acc) else 0
 
 

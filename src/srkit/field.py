@@ -325,10 +325,9 @@ class Field:
             mul = [[self._slow_mul(a, b) for b in range(q)] for a in range(q)]
             self._add_tab, self._mul_tab = add, mul
             self._neg_tab = [self._slow_neg(a) for a in range(q)]
-            inv = [0] * q
-            for a in range(1, q):
-                inv[a] = next(b for b in range(1, q) if mul[a][b] == 1)
-            self._inv_tab = inv
+            # a^-1 = g^(q-1-log a); GF(2) has no log tables
+            self._inv_tab = [0, 1] if q == 2 else [0] + [
+                self._exp[q - 1 - self._log[a]] for a in range(1, q)]
 
     def _find_generator(self):
         # Conway moduli make the class of x primitive; otherwise search.

@@ -35,6 +35,7 @@ from srkit.matq import count_matrices_of_rank, gaussian_binomial
 
 F2 = field_create(2)
 F3 = field_create(3)
+F4 = field_create(2, 2)
 
 
 class TestBrute:
@@ -85,10 +86,11 @@ class TestTransforms:
     def test_oracle_equality_random(self):
         rng = random.Random(7)
         pools = [[(2, 2), (1, 2)], [(1, 2), (1, 1), (1, 1)], [(2, 2), (2, 2)],
-                 [(1, 3), (1, 2)], [(2, 3)], [(1, 1)] * 4]
+                 [(1, 3), (1, 2)], [(2, 3)], [(1, 1)] * 4, [(2, 2), (1, 1)],
+                 [(1, 3), (1, 2), (1, 1)]]
         done = 0
-        while done < 30:
-            F = rng.choice([F2, F3])
+        while done < 40:
+            F = rng.choice([F2, F3, F4])
             blocks = rng.choice(pools)
             p = profile_create(F, blocks)
             if F.q ** p.dim > 3 ** 8:
@@ -99,6 +101,8 @@ class TestTransforms:
             _, rl_d, sup_d = brute_distributions(D)
             ts = macwilliams_support(sup, C.size())
             assert ts.counts == sup_d.counts
+            assert list(ts.counts) == [u for u in enumerate_lattice(p)
+                                       if u in ts.counts]
             tr = macwilliams_ranklist(rl, C.size())
             assert tr.counts == rl_d.counts
             assert ts.ranklist().counts == tr.counts
@@ -137,6 +141,15 @@ class TestTransforms:
         with pytest.raises(IncompleteDistribution, match="not a multiple"):
             macwilliams_support(sup3, 3)
 
+    def test_six_square_blocks_involution(self):
+        # |L| = 5^6 = 15,625: the transform costs |L| * 30 terms, not |L|^2
+        C = random_code(random.Random(11), F2, [(2, 2)] * 6, 2)
+        _, rl, sup = brute_distributions(C)
+        ts = macwilliams_support(sup, C.size())
+        assert ts.total() == 2 ** 22
+        assert ts.ranklist().counts == macwilliams_ranklist(rl, C.size()).counts
+        assert macwilliams_support(ts, 2 ** 22).counts == sup.counts
+
     def test_partition_identity(self):
         # sum over V <= U of W_V equals the shortened-code size
         from srkit.code import shorten
@@ -155,6 +168,27 @@ class TestBinomialMoments:
             F = rng.choice([F2, F3])
             C = random_code(rng, F, [(2, 2), (1, 2)], rng.randrange(0, 5))
             assert binomial_moment_check(C)
+
+    def test_corrupted_rank_list_fails(self, monkeypatch):
+        import srkit.distributions as dist
+        C = random_code(random.Random(12), F2, [(2, 2), (1, 2)], 2)
+        assert binomial_moment_check(C)
+        walk = dist.brute_distributions
+        calls = []
+
+        def corrupted(code, override=False):
+            # one extra zero word in the code's rank list, not the dual's
+            srd, rl, sup = walk(code, override)
+            calls.append(code)
+            if len(calls) == 1:
+                zero = (0,) * code.profile.t
+                rl = RankListDistribution(
+                    rl.profile, {**rl.counts, zero: rl.counts[zero] + 1})
+            return srd, rl, sup
+
+        monkeypatch.setattr(dist, "brute_distributions", corrupted)
+        assert binomial_moment_check(C) is False
+        assert len(calls) == 2
 
     def test_hamming_specialization(self):
         # all blocks 1x1: summing the identity over |u| = t - nu recovers the

@@ -211,6 +211,15 @@ def test_log_tables_gf65536():
     assert sorted(F._exp[:F.q - 1]) == list(range(1, F.q))
 
 
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (251, 1), (2, 8)])
+def test_inverse_table_matches_oracle(p, k):
+    F = field_create(p, k)
+    brute = [0] + [next(b for b in range(1, F.q)
+                        if oracle_mul(a, b, p, F.modulus) == 1)
+                   for a in range(1, F.q)]
+    assert F._inv_tab == brute
+
+
 class TestTower:
     def test_roundtrip(self):
         t = tower_create(field_create(2, 2), 2)

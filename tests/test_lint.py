@@ -1,5 +1,6 @@
 """Source checks: the library raises explicit errors instead of asserting,
-because ``python -O`` strips assert statements."""
+because ``python -O`` strips assert statements, and imports only names it
+uses."""
 
 import ast
 import pathlib
@@ -12,4 +13,27 @@ def test_library_has_no_assert():
              for path in sorted(SRC.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_library_has_no_unused_import():
+    # __init__.py imports to re-export, so it is exempt
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}"
+                  for name, line in _imported_names(tree) if name not in used]
     assert found == []

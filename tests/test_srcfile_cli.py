@@ -80,6 +80,16 @@ class TestExitCodes:
         path = FIXTURES / "msrd_d6_8blocks.src"
         assert main(["check", str(path)]) == 3
 
+    def test_transform_guard_counts_block_contractions(self, monkeypatch,
+                                                       capsys):
+        # 8 words and a lattice of 2^8 pass; |L| * sum |L_i| = 256 * 16 trips
+        monkeypatch.setenv("SRKIT_MAX_ENUM", "1000")
+        path = FIXTURES / "msrd_d6_8blocks.src"
+        assert main(["macwilliams", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("guard exceeded: lattice transform of size 4096")
+        assert "Traceback" not in err
+
     def test_env_guard_override(self, monkeypatch):
         monkeypatch.setenv("SRKIT_MAX_ENUM", str(1 << 26))
         path = FIXTURES / "msrd_d6_8blocks.src"
