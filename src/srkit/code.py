@@ -4,6 +4,21 @@ A code is stored by the canonical RREF basis of its flattened generator
 matrix (block-major, row-major within each block), so two equal codes have
 equal bases.  Codeword enumeration is lexicographic over coefficient
 vectors and incremental, touching one basis row per step on average.
+
+The minimum distance has two exact routes, picked per call by a cost known
+before either starts (see `minimum_distance`):
+
+- the lattice route ranks shortenings: a nonzero word of sum-rank weight
+  <= w exists exactly when some subspace tuple U of total rank w has
+  C(U) != 0, that is k - rank(constraints(U)) > 0.  It searches layers
+  w = 1..d*-1 only, where d* is the largest d whose Singleton exponent is
+  still >= k: the bound gives d <= d* for every code, so d = d* when those
+  layers hold nothing.  Cost: sum over w < d* of prod_i [n_i, w_i]_q tuples.
+- the walk ranks every block of all q^k codewords.
+
+The walk runs when q^k is below `_WORDS_PER_UNIT` times the lattice cost,
+and the enumeration guard gates the planned units of the route that runs.
+`shorten` builds its constraints with the same helper as the lattice route.
 """
 
 from __future__ import annotations
@@ -14,7 +29,9 @@ from .ambient import (
     MatrixTuple,
     Profile,
     SubspaceTuple,
+    _dim_vectors,
     flatten,
+    poly_product,
     profile_create,
     unflatten,
 )
@@ -28,6 +45,8 @@ from .guard import check_enum
 from .matq import (
     Mat,
     _rref_rows,
+    enumerate_subspaces,
+    gaussian_binomial,
     in_rref_span,
     linear_combination,
     nullspace,
@@ -156,9 +175,34 @@ def _srk_of_flat(vec, slices, F):
 
 
 def minimum_distance(code: LinearCode, override=False) -> int:
-    """Exact minimum sum-rank weight over nonzero codewords."""
+    """Exact minimum sum-rank weight over nonzero codewords.
+
+    Two exact routes; the one with the lower cost, known before starting,
+    runs:
+
+    - lattice: a nonzero word of weight <= w exists exactly when some
+      subspace tuple U of total rank w has a nontrivial shortening C(U), so
+      the distance is the first layer w = 1, 2, ... holding one.  The
+      Singleton bound (blocks in non-increasing m, as profiles are kept)
+      caps it at d* (`_singleton_cap`): every code has k <= the exponent at
+      its own distance, and the exponent falls as d grows, so the distance
+      is d* when layers 1..d*-1 hold no such U.  Cost: the number of tuples
+      in those layers, sum prod [n_i, w_i]_q.
+    - walk: rank every block of all q^k codewords.
+
+    The walk runs when q^k < _WORDS_PER_UNIT times the lattice cost; the
+    guard gates the planned units of the route that runs.
+    """
     if code.k == 0:
         raise TrivialCode("the zero code has no minimum distance")
+    cap = _singleton_cap(code.profile, code.k)
+    units = _lattice_units(code.profile, cap)
+    if code.size() < _WORDS_PER_UNIT * units:
+        return _walk_distance(code, override)
+    return _lattice_distance(code, cap, units, override)
+
+
+def _walk_distance(code: LinearCode, override=False) -> int:
     F = code.field
     slices = code.profile.slices
     best = None
@@ -171,6 +215,131 @@ def minimum_distance(code: LinearCode, override=False) -> int:
             if best == 1:
                 break
     return best
+
+
+# One lattice unit (a subspace tuple whose shortening is ranked) costs about
+# as much as walking this many codewords.  Measured with CPython 3.11 on a
+# 2-vCPU x86-64 machine over the 28 codes that perfbench's certify workload
+# certifies (GF(2), GF(3), GF(4), GF(256); 2^5 to 2^16 words): a unit took
+# 0.015-0.3 ms and a word 0.02-0.06 ms, and 4 picks the faster route for
+# every one of them (walk: 256 words against 793 units, 15 ms against 40 ms;
+# lattice: 2048 words against 186 units, 44 ms against 86 ms).
+_WORDS_PER_UNIT = 4
+
+
+def _singleton_cap(profile: Profile, k: int) -> int:
+    """d*: the largest d <= N whose Singleton exponent is still >= k."""
+    d = 1
+    while d < profile.N and singleton_exponent(profile, d + 1)[0] >= k:
+        d += 1
+    return d
+
+
+def _lattice_units(profile: Profile, cap: int) -> int:
+    """Subspace tuples of total rank 1..cap-1: the coefficients of
+    prod_i sum_s [n_i, s]_q y^s."""
+    q = profile.field.q
+    layers = poly_product([gaussian_binomial(n, s, q) for s in range(n + 1)]
+                          for n in profile.ns)
+    return sum(layers[1:cap])
+
+
+def _constraint_rows(code: LinearCode, block: int, prows):
+    """Coefficient rows of the conditions p . X[:, b] = 0 on block `block`
+    of X = sum_g c_g G_g, one per p in `prows` and column b, lazily.
+
+    The words that meet them are those whose column space in the block lies
+    in the orthogonal complement of span(prows).
+    """
+    pos, n, m = code.profile.slices[block]
+    F = code.field
+    add, mul = F.add, F.mul
+    for prow in prows:
+        for b in range(m):
+            row = []
+            for vec in code._flat:
+                acc = 0
+                for i in range(n):
+                    x = vec[pos + i * m + b]
+                    if x and prow[i]:
+                        acc = add(acc, mul(prow[i], x))
+                row.append(acc)
+            yield row
+
+
+def _extend(echelon, rows, k, F):
+    """Add rows to a semi-echelon basis until its rank reaches k.
+
+    `echelon` holds (pivot, row) pairs; each row is 1 at its pivot and 0 at
+    every earlier pivot, so one pass in order clears a new row.
+    """
+    add, mul, neg = F.add, F.mul, F.neg
+    for v in rows:
+        if len(echelon) == k:
+            return
+        for c, row in echelon:
+            f = v[c]
+            if f:
+                nf = neg(f)
+                v = [add(x, mul(nf, y)) if y else x for x, y in zip(v, row)]
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is not None:
+            if v[lead] != 1:
+                inv = F.inv(v[lead])
+                v = [mul(inv, x) for x in v]
+            echelon.append((lead, v))
+
+
+def _lattice_distance(code: LinearCode, cap: int, units: int,
+                      override=False) -> int:
+    """First layer w < cap holding a U with k - rank(constraints(U)) > 0,
+    else cap.  U_i^perp runs over the (n_i - w_i)-dimensional subspaces."""
+    check_enum(units, override, what="lattice search")
+    F = code.field
+    k = code.k
+    ns = code.profile.ns
+    spaces = {}
+
+    def choices(i, e):
+        # the distinct constraint spaces of rank < k of block i over the
+        # e-dimensional P, in RREF; a rank-k space leaves no word, so it
+        # is dropped
+        if (i, e) not in spaces:
+            seen = {}
+            for perp in enumerate_subspaces(ns[i], e, F, override):
+                echelon = []
+                _extend(echelon, _constraint_rows(code, i, perp.basis), k, F)
+                if len(echelon) < k:
+                    rows = _rref_rows([r for _, r in echelon], k, F)[0]
+                    seen[tuple(tuple(r) for r in rows)] = None
+            spaces[(i, e)] = list(seen)
+        return spaces[(i, e)]
+
+    for w in range(1, cap):
+        for dv in _dim_vectors(ns, w):
+            picks = sorted((choices(i, n - s) for i, (n, s) in
+                            enumerate(zip(ns, dv))), key=len)
+            if _short_pick(picks, 0, [], k, F):
+                return w
+    return cap
+
+
+def _short_pick(picks, depth, echelon, k, F):
+    """Whether one row space per block from `depth` on can be added to
+    `echelon` with the rank staying below k.
+
+    Depth-first over the blocks with incremental elimination; a branch is
+    cut once the rank reaches k.
+    """
+    if depth == len(picks):
+        return True
+    mark = len(echelon)
+    for rows in picks[depth]:
+        _extend(echelon, rows, k, F)
+        if len(echelon) < k and _short_pick(picks, depth + 1, echelon, k, F):
+            return True
+        del echelon[mark:]
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -193,23 +362,9 @@ def shorten(code: LinearCode, u: SubspaceTuple) -> LinearCode:
     F = code.field
     if code.k == 0:
         return code
-    # constraint rows: for each block i, each row p of a basis of U_i^perp,
-    # each column b: sum_g c_g * (p . G_g[i][:, b]) = 0
-    cons = []
-    for (pos, n, m), part in zip(profile.slices, u.parts):
-        comp = orthogonal_complement(part)
-        for prow in comp.basis:
-            for b in range(m):
-                row = []
-                for g in range(code.k):
-                    vec = code._flat[g]
-                    acc = 0
-                    for i in range(n):
-                        x = vec[pos + i * m + b]
-                        if x and prow[i]:
-                            acc = F.add(acc, F.mul(prow[i], x))
-                    row.append(acc)
-                cons.append(row)
+    cons = [row for i, part in enumerate(u.parts)
+            for row in _constraint_rows(code, i,
+                                        orthogonal_complement(part).basis)]
     if not cons:
         return code
     sol = nullspace(Mat(F, cons))

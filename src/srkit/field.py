@@ -256,6 +256,24 @@ def _smallest_irreducible(p, k):
     raise RuntimeError("unreachable: irreducible polynomials exist in every degree")
 
 
+def _digit_sums(p, k):
+    """table[a][b]: the code of the digit-wise sum mod p of codes a and b.
+
+    With p^j the place of the leading digit of a, adding a is adding
+    a - p^j and then p^j, which raises digit j by one (p - 1 wraps to 0);
+    so each row is an earlier row looked up in one of k step rows.
+    """
+    q = p ** k
+    table = [list(range(q))]
+    for j in range(k):
+        pj = p ** j
+        step = [b + pj if b // pj % p < p - 1 else b - (p - 1) * pj
+                for b in range(q)]
+        for a in range(pj, p * pj):
+            table.append(list(map(step.__getitem__, table[a - pj])))
+    return table
+
+
 # ---------------------------------------------------------------------------
 # the field itself
 # ---------------------------------------------------------------------------
@@ -320,10 +338,20 @@ class Field:
                 log[v] = i
                 v = step(v)
             self._exp, self._log = exp, log
+        if q == 2:
+            self._add_tab = [[self._slow_add(a, b) for b in range(q)]
+                             for a in range(q)]
+            self._mul_tab = [[self._slow_mul(a, b) for b in range(q)]
+                             for a in range(q)]
+        elif q <= _FULL_TABLE_Q:
+            self._add_tab = _digit_sums(p, k)
+            # row a, column b: exp[log a + log b], read off the exp slice
+            # that starts at log a
+            logs = self._log[1:]
+            self._mul_tab = [[0] * q] + [
+                [0, *map(self._exp[la:la + q - 1].__getitem__, logs)]
+                for la in logs]
         if q <= _FULL_TABLE_Q:
-            add = [[self._slow_add(a, b) for b in range(q)] for a in range(q)]
-            mul = [[self._slow_mul(a, b) for b in range(q)] for a in range(q)]
-            self._add_tab, self._mul_tab = add, mul
             self._neg_tab = [self._slow_neg(a) for a in range(q)]
             # a^-1 = g^(q-1-log a); GF(2) has no log tables
             self._inv_tab = [0, 1] if q == 2 else [0] + [

@@ -263,3 +263,17 @@ def oracle_mul(a, b, p, modulus):
         for j, m in enumerate(modulus):
             prod[i - k + j] -= c * m
     return sum(prod[i] % p * p ** i for i in range(k))
+
+
+def oracle_add(a, b, p, k):
+    """a + b on element codes of GF(p^k): digit-wise sum mod p."""
+    return sum((a // p ** i + b // p ** i) % p * p ** i for i in range(k))
+
+
+def oracle_min_distance(code):
+    """Least sum-rank weight over the nonzero words of `codewords`, each
+    block ranked by `oracle_rank` (q in {2, 3, 4})."""
+    from srkit.code import codewords
+    q = code.field.q
+    return min(sum(oracle_rank(b.rows, q) for b in w.blocks)
+               for w in codewords(code) if not w.is_zero())

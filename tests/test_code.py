@@ -8,6 +8,7 @@ from conftest import (
     msrd_d4_gf3_code,
     msrd_d6_code,
     oracle_combination,
+    oracle_min_distance,
     oracle_rank,
     random_code,
     random_subspace_tuple,
@@ -24,7 +25,13 @@ from srkit.ambient import (
     sumrank_weight,
     unflatten,
 )
+import srkit.code as code_mod
 from srkit.code import (
+    _lattice_distance,
+    _lattice_units,
+    _singleton_cap,
+    _walk_distance,
+    _WORDS_PER_UNIT,
     code_create,
     codewords,
     dual,
@@ -40,6 +47,7 @@ from srkit.code import (
     systematic_form,
     zero_code,
 )
+from srkit.constructions import gabidulin_mrd
 from srkit.errors import (
     IndexOutOfTheoremRange,
     NotMsrd,
@@ -154,6 +162,116 @@ class TestMinimumDistance:
             brute = min(sumrank_weight(w) for w in codewords(C)
                         if not w.is_zero())
             assert minimum_distance(C) == brute
+
+
+def _planted(profile, w):
+    """A tuple of sum-rank weight exactly w: w unit entries on block
+    diagonals, spread over distinct blocks where possible."""
+    used = [0] * profile.t
+    vec = [0] * profile.dim
+    for piece in range(w):
+        i = piece % profile.t
+        while used[i] >= profile.blocks[i][0]:
+            i = (i + 1) % profile.t
+        pos, _, m = profile.slices[i]
+        vec[pos + used[i] * m + used[i]] = 1
+        used[i] += 1
+    return unflatten(profile, vec)
+
+
+def _routes_agree(C):
+    """Both routes, the dispatcher and the brute oracle give one distance,
+    at most the Singleton cap."""
+    cap = _singleton_cap(C.profile, C.k)
+    brute = oracle_min_distance(C)
+    assert brute <= cap
+    lattice = _lattice_distance(C, cap, _lattice_units(C.profile, cap))
+    assert lattice == _walk_distance(C) == minimum_distance(C) == brute
+
+
+class TestDistanceRoutes:
+    PROFILES = [[(2, 3), (1, 2)], [(2, 2), (1, 3), (1, 1)], [(3, 3), (1, 2)],
+                [(1, 2), (1, 2), (2, 2)], [(2, 4), (1, 1), (1, 1)]]
+
+    @pytest.mark.parametrize("F,kmax", [(F2, 8), (F3, 5), (F4, 4)],
+                             ids=["GF2", "GF3", "GF4"])
+    def test_routes_match_brute_minimum(self, F, kmax):
+        rng = random.Random(F.q)
+        for blocks in self.PROFILES:
+            for plant in (0, 1, 2):
+                k = rng.randrange(1, kmax + 1)
+                C = random_code(rng, F, blocks, k)
+                if plant:
+                    C = code_create(C.profile, C.basis[:k - 1]
+                                    + (_planted(C.profile, plant),))
+                    assert oracle_min_distance(C) <= plant
+                _routes_agree(C)
+
+    @pytest.mark.parametrize("F,blocks,ks", [
+        (F2, [(2, 3), (1, 2), (1, 1)], range(1, 9)),
+        (F3, [(2, 2), (1, 2)], range(1, 5)),
+        (F4, [(1, 2), (1, 2), (1, 1)], range(1, 4)),
+    ], ids=["GF2", "GF3", "GF4"])
+    def test_route_flips_at_the_cost_boundary(self, F, blocks, ks,
+                                              monkeypatch):
+        taken = []
+        for name in ("_walk_distance", "_lattice_distance"):
+            real = getattr(code_mod, name)
+            monkeypatch.setattr(code_mod, name, lambda *a, real=real,
+                                name=name: taken.append(name) or real(*a))
+        rng = random.Random(len(blocks))
+        routes = set()
+        for k in ks:
+            for _ in range(2):
+                C = random_code(rng, F, blocks, k)
+                cap = _singleton_cap(C.profile, C.k)
+                walk = C.size() < _WORDS_PER_UNIT * _lattice_units(C.profile,
+                                                                   cap)
+                taken.clear()
+                assert minimum_distance(C) == oracle_min_distance(C)
+                assert taken == ["_walk_distance" if walk
+                                 else "_lattice_distance"]
+                routes.add(walk)
+        assert routes == {True, False}
+
+    @pytest.mark.parametrize("make,d", [
+        (lambda: msrd_d6_code(F2), 6), (msrd_d4_gf3_code, 4),
+        (lambda: gabidulin_mrd(F2, 4, 4, 3), 3),
+        (lambda: gabidulin_mrd(F4, 3, 3, 2), 2)])
+    def test_msrd_search_visits_no_tuple_of_rank_d_star(self, make, d,
+                                                        monkeypatch):
+        C = make()
+        visited = []
+        real = code_mod._dim_vectors
+
+        def recording(ns, total):
+            for dv in real(ns, total):
+                visited.append(dv)
+                yield dv
+
+        monkeypatch.setattr(code_mod, "_dim_vectors", recording)
+        cap = _singleton_cap(C.profile, C.k)
+        assert cap == d
+        assert _lattice_distance(C, cap, _lattice_units(C.profile, cap)) == d
+        # every layer below d* is searched in full, and nothing at d*
+        assert visited == [dv for w in range(1, d) for dv in real(C.profile.ns, w)]
+
+    def test_walk_guard_lifted_by_the_lattice_route(self, monkeypatch):
+        monkeypatch.delenv("SRKIT_MAX_ENUM", raising=False)
+        C = gabidulin_mrd(F2, 5, 7, 2)
+        assert C.size() == 2 ** 28
+        w = msrd_check(C)
+        assert w.is_msrd and w.d == 2
+
+    def test_lattice_guard_counts_units(self, monkeypatch):
+        C = gabidulin_mrd(F2, 4, 4, 2)
+        assert _lattice_units(C.profile, _singleton_cap(C.profile, C.k)) == 15
+        monkeypatch.setenv("SRKIT_MAX_ENUM", "14")
+        with pytest.raises(TooLarge, match="lattice search of size 15"):
+            minimum_distance(C)
+        assert minimum_distance(C, override=True) == 2
+        monkeypatch.setenv("SRKIT_MAX_ENUM", "15")
+        assert minimum_distance(C) == 2
 
 
 class TestDual:

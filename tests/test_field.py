@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_is_prime, oracle_mul
+from conftest import oracle_add, oracle_is_prime, oracle_mul
 from srkit.errors import (
     BadParameters,
     DegreeMismatch,
@@ -218,6 +218,19 @@ def test_inverse_table_matches_oracle(p, k):
                         if oracle_mul(a, b, p, F.modulus) == 1)
                    for a in range(1, F.q)]
     assert F._inv_tab == brute
+
+
+@pytest.mark.parametrize("p,k,modulus", [
+    (3, 1, None), (2, 2, None), (251, 1, None), (2, 8, None), (3, 5, None),
+    (2, 4, (1, 1, 1, 1, 1)), (3, 2, (1, 0, 1))])
+def test_full_tables_match_oracles(p, k, modulus):
+    # built from the log tables and digit-wise sums, not per-pair arithmetic
+    F = field_create(p, k, modulus)
+    q = F.q
+    assert F._mul_tab == [[oracle_mul(a, b, p, F.modulus) for b in range(q)]
+                          for a in range(q)]
+    assert F._add_tab == [[oracle_add(a, b, p, k) for b in range(q)]
+                          for a in range(q)]
 
 
 class TestTower:

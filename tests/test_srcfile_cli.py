@@ -90,6 +90,20 @@ class TestExitCodes:
         assert err.startswith("guard exceeded: lattice transform of size 4096")
         assert "Traceback" not in err
 
+    def test_lattice_guard_exceeded(self, monkeypatch, tmp_path, capsys):
+        # 2^12 words against 15 lattice units: the lattice route runs, and
+        # the guard counts its units, not the words
+        from srkit.constructions import gabidulin_mrd
+        path = tmp_path / "gab_4x4_d2.src"
+        path.write_text(write_src_text(gabidulin_mrd(F2, 4, 4, 2)))
+        monkeypatch.setenv("SRKIT_MAX_ENUM", "14")
+        assert main(["check", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("guard exceeded: lattice search of size 15")
+        assert "Traceback" not in err
+        monkeypatch.setenv("SRKIT_MAX_ENUM", "15")
+        assert run_cli(["check", str(path)]) == (0, "MSRD, d=2, dim 12\n")
+
     def test_env_guard_override(self, monkeypatch):
         monkeypatch.setenv("SRKIT_MAX_ENUM", str(1 << 26))
         path = FIXTURES / "msrd_d6_8blocks.src"
