@@ -329,14 +329,17 @@ class Field:
         self._mul_tab = self._add_tab = self._inv_tab = self._neg_tab = None
         if q <= _LOG_TABLE_Q and q > 2:
             step = self._mul_by(self._find_generator())
-            exp = [0] * (2 * (q - 1))
+            # both tables refer to one int object per value, not one per
+            # entry: about 1.8 MB less for GF(2^16)
+            ints = list(range(q))
+            exp = [0] * (q - 1)
             log = [0] * q
             v = 1
             for i in range(q - 1):
-                exp[i] = v
-                exp[i + q - 1] = v
-                log[v] = i
+                v = exp[i] = ints[v]
+                log[v] = ints[i]
                 v = step(v)
+            exp *= 2  # in place: exp[i + q - 1] = exp[i]
             self._exp, self._log = exp, log
         if q == 2:
             self._add_tab = [[self._slow_add(a, b) for b in range(q)]

@@ -254,7 +254,8 @@ class TestDistanceRoutes:
         assert cap == d
         assert _lattice_distance(C, cap, _lattice_units(C.profile, cap)) == d
         # every layer below d* is searched in full, and nothing at d*
-        assert visited == [dv for w in range(1, d) for dv in real(C.profile.ns, w)]
+        assert visited == [dv for w in range(1, d)
+                           for dv in real(C.profile.ns, w)]
 
     def test_walk_guard_lifted_by_the_lattice_route(self, monkeypatch):
         monkeypatch.delenv("SRKIT_MAX_ENUM", raising=False)
