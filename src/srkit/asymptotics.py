@@ -73,8 +73,8 @@ class AsymptoticScenario:
 
     m_head lists the column counts before they stabilize at m_hat; n_head
     gives the row counts at the same leading positions (padded with n_hat).
-    Derived: n_star / n_lower are the max / min row counts occurring after
-    the column counts have stabilized.
+    Derived: n_star is the max row count occurring after the column counts
+    have stabilized.
     """
     q: int
     m_hat: int
@@ -101,11 +101,6 @@ class AsymptoticScenario:
     def n_star(self):
         tail_heads = self.n_head[self.s:]
         return max((self.n_hat, *tail_heads), default=self.n_hat)
-
-    @property
-    def n_lower(self):
-        tail_heads = self.n_head[self.s:]
-        return min((self.n_hat, *tail_heads), default=self.n_hat)
 
     @property
     def constant_tail(self):
@@ -240,7 +235,12 @@ def emit_series(scenario: AsymptoticScenario, bounds, grid) -> str:
 
 def parse_grid(text: str):
     """a:b:step inclusive of both ends (up to rounding)."""
-    a, b, step = (float(x) for x in text.split(":"))
+    try:
+        a, b, step = (float(x) for x in text.split(":"))
+    except ValueError:
+        raise DomainError(f"grid must be a:b:step, got {text!r}") from None
+    if not all(map(math.isfinite, (a, b, step))):
+        raise DomainError(f"grid ends and step must be finite, got {text!r}")
     if step <= 0:
         raise DomainError("grid step must be positive")
     out = []

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import comb
 
 from .ambient import Profile, profile_create, sphere_volume
-from .code import singleton_exponent
+from .code import singleton_decomposition, singleton_exponent
 from .errors import BadDistance, DecompositionUnavailable, HypothesisFailed
 
 # the six bound families the comparison tables rank against each other
@@ -85,39 +85,22 @@ def sphere_packing_bound(profile: Profile, d: int) -> int:
     return profile.size() // sphere_volume(profile, r)
 
 
-def projective_decomposition(ns, d):
-    """Maximal ell with d-3 = n_1+...+n_ell + delta and 0 <= delta < n_{ell+1}.
-
-    ell = 0 is allowed (d = 3 projects nothing away); ell must leave at
-    least one block.
-    """
-    r = d - 3
-    acc = 0
-    ell = 0
-    for n in ns:
-        if acc + n <= r and ell + 1 < len(ns):
-            acc += n
-            ell += 1
-        else:
-            break
-    delta = r - acc
-    if ell >= len(ns) or delta > ns[ell] - 1:
-        raise DecompositionUnavailable(
-            f"d-3 = {r} does not split as a head row count for {ns}")
-    return ell, delta
-
-
 def projective_sphere_packing_bound(profile: Profile, d: int) -> int:
     """Sphere packing at radius 1 after projecting the first d-3 rows away."""
     _check_d(profile, d)
     if d < 3:
         raise BadDistance("the projective bound needs d >= 3")
     ns, ms = profile.ns, profile.ms
-    ell, delta = projective_decomposition(ns, d)
+    # d-3 = n_1+...+n_ell + delta with 0 <= delta < n_{ell+1}: the Singleton
+    # decomposition of d-2, so ell = j-1 leaves at least one block
+    try:
+        j, delta = singleton_decomposition(ns, d - 2)
+    except ValueError:
+        raise DecompositionUnavailable(
+            f"d-3 = {d - 3} does not split as a head row count for {ns}") from None
+    ell = j - 1
+    # delta < n_{ell+1}, so every block keeps a row
     blocks = [(ns[ell] - delta, ms[ell])] + list(profile.blocks[ell + 1:])
-    blocks = [(n, m) for n, m in blocks if n >= 1]
-    if not blocks:
-        raise DecompositionUnavailable("projection removes every row")
     reduced = profile_create(profile.field, blocks)
     return reduced.size() // sphere_volume(reduced, 1)
 

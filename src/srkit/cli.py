@@ -202,11 +202,25 @@ def cmd_macwilliams(args, out):
     return 0
 
 
+def _positive_ints(text, flag):
+    """The comma list of positive integers given to `flag`, e.g. 3,3,2."""
+    try:
+        values = tuple(int(x) for x in text.split(","))
+        if min(values) >= 1:
+            return values
+    except ValueError:
+        pass
+    raise SrkitError(f"{flag} needs a comma list of positive integers, "
+                     f"got {text!r}")
+
+
 def cmd_omega(args, out):
     prime_power(args.q_int)
     if args.d < 1:
         raise BadDistance(f"distance must be at least 1, got {args.d}")
-    shape = tuple(int(x) for x in args.shape.split(","))
+    shape = _positive_ints(args.shape, "--shape")
+    if max(shape) > args.m:
+        raise SrkitError(f"--shape entry {max(shape)} exceeds --m {args.m}")
     scan = omega_hat_exclusion_scan if args.dual else omega_exclusion_scan
     res = scan(shape, args.m, args.q_int, args.d, fast=args.fast)
     if res.excluded:
@@ -284,8 +298,8 @@ def cmd_asymptotics(args, out):
     prime_power(args.q_int)
     scenario = AsymptoticScenario(
         q=args.q_int, m_hat=args.m, n_hat=args.n,
-        m_head=tuple(int(x) for x in args.head.split(",")) if args.head else (),
-        n_head=tuple(int(x) for x in args.n_head.split(",")) if args.n_head else ())
+        m_head=_positive_ints(args.head, "--head") if args.head else (),
+        n_head=_positive_ints(args.n_head, "--n-head") if args.n_head else ())
     bounds = args.bounds.split(",")
     for b in bounds:
         if b not in BOUND_KEYS:

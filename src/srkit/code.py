@@ -19,6 +19,12 @@ before either starts (see `minimum_distance`):
 The walk runs when q^k is below `_WORDS_PER_UNIT` times the lattice cost,
 and the enumeration guard gates the planned units of the route that runs.
 `shorten` builds its constraints with the same helper as the lattice route.
+
+Every derived code comes from one primitive, `_subcode`: keep the words whose
+coefficient vectors meet some constraint rows over F^k, then read them at
+chosen positions as words of a new profile.  `shorten`, the MSRD row and
+column shortenings, row puncturing, block reordering (`order=`) and the
+mixed-m distance-2 intersection of `constructions.construct_d2` all use it.
 """
 
 from __future__ import annotations
@@ -358,19 +364,10 @@ def shorten(code: LinearCode, u: SubspaceTuple) -> LinearCode:
     """Subcode of words whose support lies in u, via linear constraints."""
     if u.profile != code.profile:
         raise ProfileMismatch("subspace tuple lives in a different profile")
-    profile = code.profile
-    F = code.field
-    if code.k == 0:
-        return code
     cons = [row for i, part in enumerate(u.parts)
             for row in _constraint_rows(code, i,
                                         orthogonal_complement(part).basis)]
-    if not cons:
-        return code
-    sol = nullspace(Mat(F, cons))
-    return code_create(profile, [
-        unflatten(profile, linear_combination(coeffs, code._flat, profile.dim, F))
-        for coeffs in sol.basis])
+    return _subcode(code, cons, code.profile, range(code.profile.dim))
 
 
 def duality_shorten_check(code: LinearCode, u: SubspaceTuple) -> bool:
@@ -492,14 +489,48 @@ def systematic_form(code: LinearCode, witness: MsrdWitness | None = None,
     return SystematicForm(tuple(basis), tail, head, j, delta)
 
 
-def _rebuild(field, blocks, gens_blocks):
-    """Create a code from raw blocks in arbitrary order, renormalizing."""
-    keep = [i for i, (n, m) in enumerate(blocks) if n >= 1 and m >= 1]
-    blocks = [blocks[i] for i in keep]
-    gens_blocks = [[g[i] for i in keep] for g in gens_blocks]
-    profile = profile_create(field, blocks)
-    gens = [MatrixTuple(profile, profile.from_user_order(g)) for g in gens_blocks]
-    return code_create(profile, gens)
+def _subcode(code: LinearCode, constraints, profile: Profile,
+             positions) -> LinearCode:
+    """The words of `code` whose coefficient vectors meet `constraints`
+    (rows over F^k, each asking c . row = 0), read at the flat `positions`
+    as words of `profile`.
+
+    Every derived code is one: shortening, the MSRD shortenings and
+    puncturing, block reordering and the mixed-m distance-2 intersection.
+    """
+    F = code.field
+    rows = code._flat
+    if constraints:
+        rows = [linear_combination(c, rows, code.profile.dim, F)
+                for c in nullspace(Mat(F, constraints)).basis]
+    rows, rk, _ = _rref_rows([[r[c] for c in positions] for r in rows],
+                             profile.dim, F)
+    return LinearCode(profile, rows[:rk])
+
+
+def _cells(profile: Profile):
+    """Each block's flat positions, as a list of rows."""
+    return [[list(range(pos + a * m, pos + (a + 1) * m)) for a in range(n)]
+            for pos, n, m in profile.slices]
+
+
+def _cut(code: LinearCode, vanish, cells) -> LinearCode:
+    """The words vanishing at the flat positions `vanish`, read at `cells`:
+    one grid of the code's flat positions per block of the new profile, in
+    its user order.  A block left with no row or no column is dropped.
+
+    On an MSRD code every vanishing position is an identity coordinate of
+    the tail-systematic basis, so each one costs exactly one dimension.
+    """
+    cells = [g for g in cells if g and g[0]]
+    profile = profile_create(code.field, [(len(g), len(g[0])) for g in cells])
+    positions = [c for g in profile.from_user_order(cells) for r in g for c in r]
+    out = _subcode(code, [[vec[c] for vec in code._flat] for c in vanish],
+                   profile, positions)
+    expect = max(code.k - len(vanish), 0)  # the zero code stays zero
+    if out.k != expect:
+        raise NotMsrd(f"the derived code has dimension {out.k}, not {expect}")
+    return out
 
 
 def _apply_order(code: LinearCode, order):
@@ -514,42 +545,37 @@ def _apply_order(code: LinearCode, order):
     if any(perm_ms[i] < perm_ms[i + 1] for i in range(len(perm_ms) - 1)):
         raise IndexOutOfTheoremRange(
             "re-ordering must keep column counts non-increasing")
-    blocks = [prof.blocks[i] for i in order]
-    gens_blocks = [[g.blocks[i] for i in order] for g in code.basis]
-    return _rebuild(prof.field, blocks, gens_blocks)
+    cells = _cells(prof)
+    return _cut(code, [], [cells[i] for i in order])
+
+
+def _tail_split(code: LinearCode, what: str, override):
+    """(j, delta, d) of an MSRD code; the zero code has every block in its
+    tail and distance 0."""
+    w = msrd_check(code, override)
+    if not w.is_msrd:
+        raise NotMsrd(f"{what} requires an MSRD code")
+    return (w.j, w.delta, w.d) if code.k else (1, 0, 0)
 
 
 def msrd_shorten_row(code: LinearCode, s: int, row: int = 0, order=None,
                      override=False) -> LinearCode:
     """Shorten an MSRD code on row `row` of block `s` (1-based, s in {j..t}).
 
-    Returns an MSRD code with the same distance in the profile with n_s
-    reduced by one (the block is dropped when it empties).
+    Returns an MSRD code with the same distance and dimension k - m_s in
+    the profile with n_s reduced by one (the block is dropped when it
+    empties).
     """
     code = _apply_order(code, order)
-    sf = systematic_form(code, override=override)
-    profile = code.profile
-    j = sf.j
-    ns = profile.ns
-    if not j <= s <= profile.t:
-        raise IndexOutOfTheoremRange(f"s must lie in [{j}, {profile.t}]")
-    n_prime = ns[s - 1] - sf.delta if s == j else ns[s - 1]
+    j, delta, _ = _tail_split(code, "row shortening", override)
+    ns, t = code.profile.ns, code.profile.t
+    if not j <= s <= t:
+        raise IndexOutOfTheoremRange(f"s must lie in [{j}, {t}]")
+    n_prime = ns[s - 1] - delta if s == j else ns[s - 1]
     if not 0 <= row < n_prime:
         raise IndexOutOfTheoremRange(f"row must be a tail row of block {s}")
-    keep = [g for g, (i, a, _) in enumerate(sf.tail)
-            if not (i == s - 1 and a == row)]
-    new_blocks = list(profile.blocks)
-    n, m = new_blocks[s - 1]
-    new_blocks[s - 1] = (n - 1, m)
-    gens_blocks = []
-    for g in keep:
-        tup = sf.basis[g]
-        blocks = list(tup.blocks)
-        b = blocks[s - 1]
-        blocks[s - 1] = Mat(code.field,
-                            [r for a, r in enumerate(b.rows) if a != row])
-        gens_blocks.append(blocks)
-    return _rebuild(code.field, new_blocks, gens_blocks)
+    cells = _cells(code.profile)
+    return _cut(code, cells[s - 1].pop(row), cells)
 
 
 def msrd_shorten_col(code: LinearCode, s: int, col: int = 0, order=None,
@@ -557,36 +583,22 @@ def msrd_shorten_col(code: LinearCode, s: int, col: int = 0, order=None,
     """Shorten an MSRD code on column `col` of block `s` (1-based).
 
     Admissible blocks are s in {j+1..t}; when delta = 0 every row of block j
-    is a tail row, so s = j is admitted as well.
+    is a tail row, so s = j is admitted as well.  The result keeps the
+    distance and has dimension k - n_s.
     """
     code = _apply_order(code, order)
-    sf = systematic_form(code, override=override)
-    profile = code.profile
-    j = sf.j
-    ns, ms = profile.ns, profile.ms
-    lo = j if sf.delta == 0 else j + 1
-    if not lo <= s <= profile.t:
-        raise IndexOutOfTheoremRange(f"s must lie in [{lo}, {profile.t}]")
+    j, delta, _ = _tail_split(code, "column shortening", override)
+    ns, ms, t = code.profile.ns, code.profile.ms, code.profile.t
+    lo = j if delta == 0 else j + 1
+    if not lo <= s <= t:
+        raise IndexOutOfTheoremRange(f"s must lie in [{lo}, {t}]")
     if not 0 <= col < ms[s - 1]:
         raise IndexOutOfTheoremRange(f"column out of range for block {s}")
     if ms[s - 1] - 1 > 0 and ns[s - 1] > ms[s - 1] - 1:
         raise IndexOutOfTheoremRange(
             f"removing a column from block {s} would leave more rows than columns")
-    keep = [g for g, (i, _, b) in enumerate(sf.tail)
-            if not (i == s - 1 and b == col)]
-    new_blocks = list(profile.blocks)
-    n, m = new_blocks[s - 1]
-    new_blocks[s - 1] = (n, m - 1)
-    gens_blocks = []
-    for g in keep:
-        tup = sf.basis[g]
-        blocks = list(tup.blocks)
-        b = blocks[s - 1]
-        blocks[s - 1] = Mat(code.field,
-                            [[x for bb, x in enumerate(r) if bb != col]
-                             for r in b.rows])
-        gens_blocks.append(blocks)
-    return _rebuild(code.field, new_blocks, gens_blocks)
+    cells = _cells(code.profile)
+    return _cut(code, [r.pop(col) for r in cells[s - 1]], cells)
 
 
 def msrd_puncture_row(code: LinearCode, s: int, order=None,
@@ -594,29 +606,15 @@ def msrd_puncture_row(code: LinearCode, s: int, order=None,
     """Puncture an MSRD code of distance >= 2 on the last row of a head block.
 
     Admissible s: 1..j when delta > 0, 1..j-1 when delta = 0 (1-based).
-    The result is MSRD with distance d-1.
+    The result is MSRD with distance d-1 and the same dimension.
     """
     code = _apply_order(code, order)
-    witness = msrd_check(code, override)
-    if not witness.is_msrd:
-        raise NotMsrd("puncturing theorem requires an MSRD code")
-    if witness.d is None or witness.d < 2:
+    j, delta, d = _tail_split(code, "puncturing", override)
+    if d < 2:
         raise IndexOutOfTheoremRange("puncturing needs distance at least 2")
-    j, delta = witness.j, witness.delta
     hi = j if delta > 0 else j - 1
     if not 1 <= s <= hi:
         raise IndexOutOfTheoremRange(f"s must lie in [1, {hi}]")
-    profile = code.profile
-    new_blocks = list(profile.blocks)
-    n, m = new_blocks[s - 1]
-    new_blocks[s - 1] = (n - 1, m)
-    gens_blocks = []
-    for tup in code.basis:
-        blocks = list(tup.blocks)
-        b = blocks[s - 1]
-        blocks[s - 1] = Mat(code.field, b.rows[:-1])
-        gens_blocks.append(blocks)
-    out = _rebuild(code.field, new_blocks, gens_blocks)
-    if out.k != code.k:
-        raise NotMsrd("puncturing an MSRD code must preserve dimension")
-    return out
+    cells = _cells(code.profile)
+    cells[s - 1].pop()
+    return _cut(code, [], cells)

@@ -12,10 +12,10 @@ from itertools import combinations
 
 from .ambient import MatrixTuple, Profile, profile_create, unflatten
 from .bounds import induced_bounds
-from .code import LinearCode, code_create, codewords, dual
+from .code import LinearCode, _subcode, code_create, codewords, dual
 from .errors import BadParameters, HypothesisFailed, LengthTooLong, SrkitError
 from .field import Field, tower_create
-from .matq import Mat, linear_combination, nullspace, rank
+from .matq import Mat, linear_combination, rank
 
 
 def gabidulin_mrd(field: Field, n: int, m: int, d: int) -> LinearCode:
@@ -133,11 +133,8 @@ def construct_d2(field: Field, blocks) -> D2Result:
         for i in range(n):
             for b in range(m1):
                 (keep if b < m2 else cut).append(pos + i * m1 + b)
-    sol = nullspace(Mat(field, [[vec[c] for vec in wide._flat] for c in cut]))
-    narrow = [[vec[c] for c in keep] for vec in wide._flat]
-    code = code_create(profile, [
-        unflatten(profile, linear_combination(coeffs, narrow, profile.dim, field))
-        for coeffs in sol.basis])
+    code = _subcode(wide, [[vec[c] for vec in wide._flat] for c in cut],
+                    profile, keep)
     expect = sum(m * n for n, m in profile.blocks[1:]) + ms[0] * (profile.ns[0] - 1)
     if code.k != expect:
         raise BadParameters("distance-2 intersection lost rank (internal error)")
@@ -232,35 +229,14 @@ def construct_dN_minus(field: Field, blocks, alpha: int = 1) -> LinearCode:
     return code_create(profile, gens)
 
 
-def construct_msrd111(field: Field, inner_blocks, t2: int,
-                      mds_generator: Mat | None = None) -> LinearCode:
-    """Full-rank MRD blocks glued to an MDS code on t2 single-entry blocks.
+def construct_msrd111(field: Field, inner_blocks, t2: int) -> LinearCode:
+    """Full-rank MRD blocks glued to an MDS code on t2 single-entry blocks:
+    `construct_combine` with m_hat = 1.
 
     Distance sum(n_j) + t2 - m_last + 1 where m_last is the smallest inner
     column count; requires t2 >= m_last.
     """
-    inner = [(int(n), int(m)) for n, m in inner_blocks]
-    if not inner:
-        raise BadParameters("need at least one inner block")
-    inner_profile = profile_create(field, inner)
-    m_last = inner_profile.ms[-1]
-    if t2 < m_last:
-        raise HypothesisFailed(f"needs t2 >= {m_last}")
-    if mds_generator is None:
-        mds_generator = rs_mds(field, t2, t2 - m_last + 1)
-    if (mds_generator.nrows, mds_generator.ncols) != (m_last, t2):
-        raise BadParameters(
-            f"MDS generator must be {m_last} x {t2}")
-    profile = profile_create(field, list(inner_profile.blocks) + [(1, 1)] * t2)
-    bases = [gabidulin_mrd(field, n, m, n).basis
-             for n, m in inner_profile.blocks]
-    gens = []
-    for i in range(m_last):
-        blocks = [bases[jj][i].blocks[0] for jj in range(inner_profile.t)]
-        blocks += [Mat(field, [[mds_generator.rows[i][col]]])
-                   for col in range(t2)]
-        gens.append(MatrixTuple(profile, blocks))
-    return code_create(profile, gens)
+    return construct_combine(field, inner_blocks, t2, 1)
 
 
 def construct_combine(field: Field, inner_blocks, t2: int, m_hat: int) -> LinearCode:
@@ -268,6 +244,8 @@ def construct_combine(field: Field, inner_blocks, t2: int, m_hat: int) -> Linear
 
     Needs m_last = m_hat * a with a <= t2; distance sum(n_j) + t2 - a + 1.
     """
+    if m_hat < 1:
+        raise BadParameters(f"m_hat must be at least 1, got {m_hat}")
     inner = [(int(n), int(m)) for n, m in inner_blocks]
     inner_profile = profile_create(field, inner)
     m_last = inner_profile.ms[-1]
@@ -276,8 +254,6 @@ def construct_combine(field: Field, inner_blocks, t2: int, m_hat: int) -> Linear
     a = m_last // m_hat
     if a > t2:
         raise HypothesisFailed(f"needs a = {a} <= t2 = {t2}")
-    if m_hat > m_last:
-        raise HypothesisFailed("expanded blocks would be wider than inner ones")
     tower = tower_create(field, m_hat)
     top = tower.top
     G = rs_mds(top, t2, t2 - a + 1)

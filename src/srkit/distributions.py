@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import chain, product
 from math import prod
 
-from .ambient import Profile, SubspaceTuple, poly_product
+from .ambient import Profile, SubspaceTuple, _dim_vectors, poly_product
 from .code import LinearCode, _iter_flat_words
 from .errors import IncompleteDistribution, SrkitError, UnequalColumnSizes
 from .guard import check_enum, check_keys
@@ -304,30 +304,6 @@ def omega_fast_closed_form(shape, m: int, q: int, d: int):
     return u, q ** (2 * m) - 1 - (q ** m - 1) // (q - 1) * s
 
 
-def iter_dim_vectors_graded(shape, grade):
-    """Dim vectors of the given total weight, front-loaded first.
-
-    Within a grade, vectors are sorted by their reversed tuple, so the
-    graded-revlex-minimal (front-filled) vector comes first.
-    """
-    shape = tuple(shape)
-    out = []
-
-    def rec(i, left, prefix):
-        if i == len(shape):
-            if left == 0:
-                out.append(tuple(prefix))
-            return
-        room = sum(shape[i + 1:])
-        for v in range(min(shape[i], left), -1, -1):
-            if left - v <= room:
-                rec(i + 1, left - v, prefix + [v])
-
-    rec(0, grade, [])
-    out.sort(key=lambda u: tuple(reversed(u)))
-    return out
-
-
 @dataclass(frozen=True)
 class ScanResult:
     excluded: bool
@@ -355,7 +331,8 @@ def omega_exclusion_scan(shape, m: int, q: int, d: int, fast=False) -> ScanResul
     checked = 0
     N = sum(shape)
     for grade in range(d + 1, N + 1):
-        for u in iter_dim_vectors_graded(shape, grade):
+        # front-loaded first: sorted by the reversed tuple
+        for u in sorted(_dim_vectors(shape, grade), key=lambda v: v[::-1]):
             checked += 1
             value = omega(shape, m, q, d, u)
             if value < 0:

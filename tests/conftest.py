@@ -277,3 +277,36 @@ def oracle_min_distance(code):
     q = code.field.q
     return min(sum(oracle_rank(b.rows, q) for b in w.blocks)
                for w in codewords(code) if not w.is_zero())
+
+
+def oracle_derived(code, block, row=None, col=None, order=None):
+    """Brute shortening on `row` or `col` of 0-based `block`, or puncturing
+    on its last row when neither is given, after the blocks are put in
+    `order`: the words of `codewords(code)` that vanish there, with that row
+    or column deleted and empty blocks dropped.
+
+    Returns (block shapes, set of words), each word a tuple of block row
+    tuples, both in the derived code's user block order.
+    """
+    from srkit.code import codewords
+    order = range(code.profile.t) if order is None else order
+
+    def cut(rows):
+        if col is not None:
+            return tuple(r[:col] + r[col + 1:] for r in rows)
+        drop = len(rows) - 1 if row is None else row
+        return rows[:drop] + rows[drop + 1:]
+
+    words = set()
+    for w in codewords(code):
+        blocks = [w.blocks[i].rows for i in order]
+        if row is not None and any(blocks[block][row]):
+            continue
+        if col is not None and any(r[col] for r in blocks[block]):
+            continue
+        blocks[block] = cut(blocks[block])
+        words.add(tuple(b for b in blocks if b and b[0]))
+    shapes = [code.profile.blocks[i] for i in order]
+    n, m = shapes[block]
+    shapes[block] = (n, m - 1) if col is not None else (n - 1, m)
+    return tuple(s for s in shapes if min(s) >= 1), words

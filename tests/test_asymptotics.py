@@ -215,6 +215,12 @@ class TestEmitSeries:
         assert lines[1] == "0.0000000000,singleton,1.0000000000"
         assert len(lines) == 11
 
+    def test_malformed_grid_is_a_domain_error(self):
+        for text in ("0:1", "a:b:c", "0:1:0.1:2", "", "0:inf:1", "0:1:nan",
+                     "0:1:0", "0:1:-1"):
+            with pytest.raises(DomainError):
+                parse_grid(text)
+
     def test_out_of_domain_rows_skipped(self):
         csv = emit_series(SC_WIDE, ["sphere-packing-upper"], [0.5, 0.95])
         assert len(csv.splitlines()) == 2  # header + the 0.5 row

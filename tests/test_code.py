@@ -8,6 +8,7 @@ from conftest import (
     msrd_d4_gf3_code,
     msrd_d6_code,
     oracle_combination,
+    oracle_derived,
     oracle_min_distance,
     oracle_rank,
     random_code,
@@ -27,6 +28,7 @@ from srkit.ambient import (
 )
 import srkit.code as code_mod
 from srkit.code import (
+    MsrdWitness,
     _lattice_distance,
     _lattice_units,
     _singleton_cap,
@@ -47,7 +49,7 @@ from srkit.code import (
     systematic_form,
     zero_code,
 )
-from srkit.constructions import gabidulin_mrd
+from srkit.constructions import construct_mds_lift, gabidulin_mrd
 from srkit.errors import (
     IndexOutOfTheoremRange,
     NotMsrd,
@@ -495,6 +497,80 @@ class TestShortenPunctureTheorems:
             msrd_shorten_row(C, 1)  # head block
         with pytest.raises(IndexOutOfTheoremRange):
             msrd_puncture_row(C, 6)  # tail block
+        for s in (0, C.profile.t + 1):  # no such block
+            for op in (msrd_shorten_row, msrd_shorten_col, msrd_puncture_row):
+                with pytest.raises(IndexOutOfTheoremRange):
+                    op(C, s)
+
+    def test_requires_msrd(self):
+        C = dual(rank2_plus_pivot_code(2))
+        for op in (msrd_shorten_row, msrd_shorten_col, msrd_puncture_row):
+            with pytest.raises(NotMsrd):
+                op(C, 1)
+
+    def test_dimension_is_checked(self, monkeypatch):
+        # a code passed off as MSRD whose second block is always zero: a row
+        # or column there costs no dimension, so the result is refused
+        p = profile_create(F2, [(1, 2), (1, 2)])
+        C = code_create(p, [tup(p, [[1, 0]], [[0, 0]]),
+                            tup(p, [[0, 1]], [[0, 0]])])
+        monkeypatch.setattr(code_mod, "msrd_check",
+                            lambda code, override=False: MsrdWitness(
+                                True, 1, 4, 1, 0))
+        for op in (msrd_shorten_row, msrd_shorten_col):
+            with pytest.raises(NotMsrd):
+                op(C, 2)
+
+    def test_zero_code_shortens_to_zero(self):
+        Z = zero_code(profile_create(F2, [(2, 2), (1, 1)]))
+        S = msrd_shorten_row(Z, 2)
+        assert S.k == 0 and S.profile.blocks == ((2, 2),)
+        assert msrd_shorten_row(Z, 1, row=1).profile.blocks == ((1, 2), (1, 1))
+        for op in (msrd_shorten_row, msrd_shorten_col):
+            with pytest.raises(IndexOutOfTheoremRange):
+                op(Z, 0)
+        with pytest.raises(IndexOutOfTheoremRange):
+            msrd_puncture_row(Z, 1)  # no distance to lower
+
+    @pytest.mark.parametrize("make,order", [
+        (lambda: msrd_d6_code(F2), None),
+        (msrd_d4_gf3_code, None),
+        (lambda: gabidulin_mrd(F2, 3, 3, 2), None),
+        (lambda: construct_mds_lift(F2, 2, 4, 2), (3, 0, 1, 2)),
+        (msrd_d4_gf3_code, (1, 2, 3, 0)),  # the 2x2 block last: j = 4
+    ], ids=["d6-gf2", "d4-gf3", "gabidulin-3x3-d2", "mds-lift-reordered",
+            "d4-gf3-reordered"])
+    def test_against_brute_oracle(self, make, order):
+        C = make()
+        ns, ms = C.profile.ns, C.profile.ms
+        if order is not None:
+            ns, ms = [ns[i] for i in order], [ms[i] for i in order]
+        t = C.profile.t
+        d = msrd_check(C).d
+        j, delta = singleton_decomposition(ns, d)
+
+        def same(out, block, **cut):
+            shapes, words = oracle_derived(C, block, order=order, **cut)
+            got = {tuple(b.rows for b in out.profile.to_user_order(x.blocks))
+                   for x in codewords(out)}
+            assert (out.profile.original_blocks, got) == (shapes, words), cut
+
+        checked = 0
+        for s in range(j, t + 1):
+            n_tail = ns[s - 1] - delta if s == j else ns[s - 1]
+            for row in range(n_tail):
+                same(msrd_shorten_row(C, s, row=row, order=order), s - 1, row=row)
+                checked += 1
+        for s in range(j if delta == 0 else j + 1, t + 1):
+            if ms[s - 1] - 1 > 0 and ns[s - 1] > ms[s - 1] - 1:
+                continue
+            for col in range(ms[s - 1]):
+                same(msrd_shorten_col(C, s, col=col, order=order), s - 1, col=col)
+                checked += 1
+        for s in range(1, (j if delta > 0 else j - 1) + 1):
+            same(msrd_puncture_row(C, s, order=order), s - 1)
+            checked += 1
+        assert checked >= 2
 
     def test_single_block_with_nonzero_delta(self):
         # t = 1 rank-metric case; d - 1 falls strictly inside the block

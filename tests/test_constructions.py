@@ -188,7 +188,9 @@ class TestDN:
 
 class TestMsrd111:
     def test_identity_glue(self):
-        C = construct_msrd111(F2, [(1, 2), (1, 2)], 2, Mat.identity(F2, 2))
+        # the default MDS code at t2 = m_last = 2 is the identity glue
+        assert rs_mds(F2, 2, 1) == Mat.identity(F2, 2)
+        C = construct_msrd111(F2, [(1, 2), (1, 2)], 2)
         w = msrd_check(C)
         assert w.is_msrd and w.d == 3  # 2 + 2 - 2 + 1
 
@@ -211,6 +213,19 @@ class TestCombine:
     def test_divisibility_enforced(self):
         with pytest.raises(HypothesisFailed):
             construct_combine(F2, [(1, 4)], 3, 3)
+
+    def test_m_hat_must_be_positive(self):
+        for m_hat in (0, -2):
+            with pytest.raises(BadParameters):
+                construct_combine(F2, [(1, 4)], 3, m_hat)
+
+    def test_msrd111_is_combine_with_m_hat_one(self):
+        for F, inner, t2 in [(F2, [(1, 2), (1, 2)], 2), (F2, [(2, 2)], 3),
+                             (F3, [(2, 2)], 3), (F3, [(2, 3), (1, 2)], 3)]:
+            C = construct_msrd111(F, inner, t2)
+            assert C == construct_combine(F, inner, t2, 1)
+            assert C.profile.original_blocks == tuple(
+                sorted(inner, key=lambda b: -b[1])) + ((1, 1),) * t2
 
 
 class TestMsrd111Ext:

@@ -37,3 +37,33 @@ def test_library_has_no_unused_import():
         found += [f"{path.name}:{line} {name}"
                   for name, line in _imported_names(tree) if name not in used]
     assert found == []
+
+
+def _names(node):
+    """The names a node loads, reads as an attribute or imports."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.ImportFrom):
+        return [alias.name for alias in node.names]
+    return []
+
+
+def test_library_has_no_dead_private_helper():
+    # every _private function, class or method is used somewhere in the
+    # package outside its own definition
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    uses = [(name, node) for tree in trees.values() for node in ast.walk(tree)
+            for name in _names(node)]
+    private = [(name, node) for name, tree in trees.items()
+               for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")]
+    found = []
+    for name, node in private:
+        inside = {id(n) for n in ast.walk(node)}
+        if not any(used == node.name and id(n) not in inside for used, n in uses):
+            found.append(f"{name}:{node.lineno} {node.name}")
+    assert len(private) > 40 and found == []

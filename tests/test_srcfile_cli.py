@@ -132,6 +132,33 @@ class TestExitCodes:
         pytest.param(["omega", "--q", "3317044064679887385961981", "--m", "3",
                       "--shape", "3,3,2", "--d", "7"],
                      id="omega-q-beyond-exact-primality"),
+        pytest.param(["omega", "--q", "2", "--m", "3", "--shape", "3,,2",
+                      "--d", "2"], id="omega-shape-empty-entry"),
+        pytest.param(["omega", "--q", "2", "--m", "3", "--shape", "3,x",
+                      "--d", "2"], id="omega-shape-not-int"),
+        pytest.param(["omega", "--q", "2", "--m", "0", "--shape", "1",
+                      "--d", "1"], id="omega-shape-above-m"),
+        pytest.param(["omega", "--q", "2", "--m", "3", "--shape", "0,-3",
+                      "--d", "1"], id="omega-shape-not-positive"),
+        pytest.param(["omega", "--q", "2", "--m", "3", "--shape", "3,0",
+                      "--d", "2"], id="omega-shape-zero-entry"),
+        pytest.param(["asymptotics", "--q", "2", "--m", "2", "--n", "1",
+                      "--head", "a", "--bounds", "singleton"],
+                     id="asymptotics-head-not-int"),
+        pytest.param(["asymptotics", "--q", "2", "--m", "2", "--n", "1",
+                      "--n-head", "1,b", "--bounds", "singleton"],
+                     id="asymptotics-n-head-not-int"),
+        pytest.param(["asymptotics", "--q", "2", "--m", "2", "--n", "1",
+                      "--grid", "0:1", "--bounds", "singleton"],
+                     id="asymptotics-grid-two-fields"),
+        pytest.param(["asymptotics", "--q", "2", "--m", "2", "--n", "1",
+                      "--grid", "a:b:c", "--bounds", "singleton"],
+                     id="asymptotics-grid-not-numbers"),
+        pytest.param(["asymptotics", "--q", "2", "--m", "2", "--n", "1",
+                      "--grid", "0:inf:1", "--bounds", "singleton"],
+                     id="asymptotics-grid-infinite"),
+        pytest.param(["construct", "combine", "--q", "2", "--profile", "1x4",
+                      "--t2", "3", "--m-hat", "0"], id="combine-m-hat-zero"),
     ])
     def test_bad_input_is_a_usage_error(self, argv, tmp_path, capsys):
         text = (FIXTURES / "msrd_d6_8blocks.src").read_text()
