@@ -297,9 +297,14 @@ def mobius(u: SubspaceTuple, v: SubspaceTuple) -> int:
     q = u.profile.field.q
     out = 1
     for a, b in zip(u.parts, v.parts):
-        d = b.dim - a.dim
-        out *= (-1) ** d * q ** (d * (d - 1) // 2)
+        out *= _signed_power(q, b.dim - a.dim)
     return out
+
+
+def _signed_power(q, d):
+    """(-1)^d q^C(d,2): the Moebius value of a length-d interval of a
+    subspace lattice, and the sign factor of both MacWilliams kernels."""
+    return (-1) ** d * q ** (d * (d - 1) // 2)
 
 
 def blockdiag_embed(x: MatrixTuple) -> Mat:

@@ -13,7 +13,7 @@ from math import comb
 
 from .ambient import Profile, profile_create, sphere_volume
 from .code import singleton_decomposition, singleton_exponent
-from .errors import BadDistance, DecompositionUnavailable, HypothesisFailed
+from .errors import BadDistance, HypothesisFailed
 
 # the six bound families the comparison tables rank against each other
 TABLE_BOUNDS = (
@@ -92,12 +92,9 @@ def projective_sphere_packing_bound(profile: Profile, d: int) -> int:
         raise BadDistance("the projective bound needs d >= 3")
     ns, ms = profile.ns, profile.ms
     # d-3 = n_1+...+n_ell + delta with 0 <= delta < n_{ell+1}: the Singleton
-    # decomposition of d-2, so ell = j-1 leaves at least one block
-    try:
-        j, delta = singleton_decomposition(ns, d - 2)
-    except ValueError:
-        raise DecompositionUnavailable(
-            f"d-3 = {d - 3} does not split as a head row count for {ns}") from None
+    # decomposition of d-2, which exists because d <= N, so ell = j-1
+    # leaves at least one block
+    j, delta = singleton_decomposition(ns, d - 2)
     ell = j - 1
     # delta < n_{ell+1}, so every block keeps a row
     blocks = [(ns[ell] - delta, ms[ell])] + list(profile.blocks[ell + 1:])
@@ -192,15 +189,10 @@ def bound_report(profile: Profile, d: int) -> BoundReport:
         "induced-plotkin": ind["plotkin"],
         "induced-elias": ind["elias"],
         "sphere-packing": sphere_packing_bound(profile, d),
-        "projective-sphere-packing": None,
+        "projective-sphere-packing":
+            projective_sphere_packing_bound(profile, d) if d >= 3 else None,
         "total-distance": total_distance_bound(profile, d),
     }
-    if d >= 3:
-        try:
-            entries["projective-sphere-packing"] = \
-                projective_sphere_packing_bound(profile, d)
-        except DecompositionUnavailable:
-            pass
     q = profile.field.q
     linear = {name: linear_version(v, q) for name, v in entries.items()}
     applicable = {name: v for name, v in entries.items() if v is not None}

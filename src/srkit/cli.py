@@ -153,6 +153,12 @@ def cmd_puncture(args, out):
     return 0 if witness.is_msrd else 1
 
 
+def _support_order(u):
+    """Listing order of support tuples: total rank, dim vector, then the
+    canonical bases, so the output does not depend on how it was found."""
+    return u.rank_L, u.dim_vector, tuple(p.basis for p in u.parts)
+
+
 def _print_distributions(code, out, label=""):
     srd, rld, supd = brute_distributions(code)
     print(f"{label}sum-rank: " +
@@ -161,7 +167,7 @@ def _print_distributions(code, out, label=""):
     for r in sorted(rld.counts):
         print(f"  {','.join(map(str, r))}: {rld.counts[r]}", file=out)
     print(f"{label}support ({len(supd.counts)} distinct supports):", file=out)
-    for u in sorted(supd.counts, key=lambda u: (u.rank_L, u.dim_vector)):
+    for u in sorted(supd.counts, key=_support_order):
         print(f"  dim {','.join(map(str, u.dim_vector))}: {supd.counts[u]}",
               file=out)
     return srd, rld, supd
@@ -193,7 +199,7 @@ def cmd_macwilliams(args, out):
     dual_rl = macwilliams_ranklist(rld, code.size())
     print(f"dual support distribution ({len(dual_sup.counts)} supports):",
           file=out)
-    for u in sorted(dual_sup.counts, key=lambda u: (u.rank_L, u.dim_vector)):
+    for u in sorted(dual_sup.counts, key=_support_order):
         print(f"  dim {','.join(map(str, u.dim_vector))}: {dual_sup.counts[u]}",
               file=out)
     print("dual rank-list distribution:", file=out)
@@ -218,11 +224,9 @@ def cmd_omega(args, out):
     prime_power(args.q_int)
     if args.d < 1:
         raise BadDistance(f"distance must be at least 1, got {args.d}")
-    shape = _positive_ints(args.shape, "--shape")
-    if max(shape) > args.m:
-        raise SrkitError(f"--shape entry {max(shape)} exceeds --m {args.m}")
     scan = omega_hat_exclusion_scan if args.dual else omega_exclusion_scan
-    res = scan(shape, args.m, args.q_int, args.d, fast=args.fast)
+    res = scan(_positive_ints(args.shape, "--shape"), args.m, args.q_int,
+               args.d, fast=args.fast)
     if res.excluded:
         witness = "(" + ",".join(map(str, res.witness)) + ")"
         print(f"Excluded, witness {witness}, omega={res.value}", file=out)

@@ -18,7 +18,9 @@ before either starts (see `minimum_distance`):
 
 The walk runs when q^k is below `_WORDS_PER_UNIT` times the lattice cost,
 and the enumeration guard gates the planned units of the route that runs.
-`shorten` builds its constraints with the same helper as the lattice route.
+`shorten` builds its constraints with the same helper as the lattice route,
+and `distributions.brute_distributions` ranks every subspace tuple with the
+same helper and the same depth-first walk over the blocks (`_tuple_ranks`).
 
 Every derived code comes from one primitive, `_subcode`: keep the words whose
 coefficient vectors meet some constraint rows over F^k, then read them at
@@ -30,6 +32,7 @@ mixed-m distance-2 intersection of `constructions.construct_d2` all use it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .ambient import (
     MatrixTuple,
@@ -325,27 +328,32 @@ def _lattice_distance(code: LinearCode, cap: int, units: int,
         for dv in _dim_vectors(ns, w):
             picks = sorted((choices(i, n - s) for i, (n, s) in
                             enumerate(zip(ns, dv))), key=len)
-            if _short_pick(picks, 0, [], k, F):
+            if any(r < k for r, _ in _tuple_ranks(picks, 0, [], k, F)):
                 return w
     return cap
 
 
-def _short_pick(picks, depth, echelon, k, F):
-    """Whether one row space per block from `depth` on can be added to
-    `echelon` with the rank staying below k.
+def _tuple_ranks(picks, depth, echelon, k, F):
+    """Yield (rank, leaves) over the choices of one row space per block
+    from `depth` on, in itertools.product order: the rank of `echelon` plus
+    the chosen rows, and how many consecutive choices share it.
 
-    Depth-first over the blocks with incremental elimination; a branch is
-    cut once the rank reaches k.
+    Depth-first over the blocks with incremental elimination, so each
+    choice costs one insert; a branch whose rank reaches k is not descended
+    and yields (k, its number of choices) once.
     """
     if depth == len(picks):
-        return True
+        yield len(echelon), 1
+        return
     mark = len(echelon)
+    below = prod(len(p) for p in picks[depth + 1:])
     for rows in picks[depth]:
         _extend(echelon, rows, k, F)
-        if len(echelon) < k and _short_pick(picks, depth + 1, echelon, k, F):
-            return True
+        if len(echelon) < k:
+            yield from _tuple_ranks(picks, depth + 1, echelon, k, F)
+        else:
+            yield k, below
         del echelon[mark:]
-    return False
 
 
 # ---------------------------------------------------------------------------

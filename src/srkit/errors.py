@@ -73,10 +73,6 @@ class HypothesisFailed(SrkitError):
     pass
 
 
-class DecompositionUnavailable(SrkitError):
-    pass
-
-
 # distributions
 class UnequalColumnSizes(SrkitError):
     pass

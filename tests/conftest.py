@@ -227,6 +227,41 @@ def oracle_rank(rows, q):
     return rank
 
 
+def oracle_rref(rows, q):
+    """The nonzero rows of the reduced row-echelon form over GF(q), q in
+    {2, 3, 4}: the canonical basis of their span."""
+    add, mul = oracle_ops(q)
+    neg = {a: next(b for b in range(q) if add(a, b) == 0) for a in range(q)}
+    inv = {a: next(b for b in range(q) if mul(a, b) == 1) for a in range(1, q)}
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        lead = inv[rows[rank][col]]
+        rows[rank] = [mul(lead, x) for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = neg[rows[i][col]]
+                rows[i] = [add(x, mul(f, y)) for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return tuple(tuple(r) for r in rows[:rank])
+
+
+def oracle_supports(code):
+    """Support counts by walking `codewords`: each block's column space as
+    its `oracle_rref` basis, one tuple of bases per word (q in {2, 3, 4})."""
+    from srkit.code import codewords
+    q = code.field.q
+    counts = {}
+    for w in codewords(code):
+        key = tuple(oracle_rref(list(zip(*b.rows)), q) for b in w.blocks)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def oracle_combination(coeffs, rows, q):
     """sum_g coeffs[g] * rows[g] over GF(q), q in {2, 3, 4}."""
     add, mul = oracle_ops(q)

@@ -122,6 +122,20 @@ class TestProjectiveSpherePacking:
         assert projective_sphere_packing_bound(p, 3) == \
             p.size() // sphere_volume(p, 1)
 
+    @pytest.mark.parametrize("field,blocks", [
+        (F2, [(3, 3), (2, 3), (1, 2)]),
+        (F2, [(2, 4), (2, 2), (1, 1), (1, 1)]),
+        (F3, [(1, 3), (2, 2), (1, 2)]),
+        (F3, [(3, 3), (1, 1)]),
+    ])
+    def test_defined_for_every_distance_from_three(self, field, blocks):
+        # d <= N always leaves a head split of d - 3 with a row in every block
+        p = profile_create(field, blocks)
+        for d in range(3, p.N + 1):
+            value = bound_report(p, d).entries["projective-sphere-packing"]
+            assert value is not None and value >= 1
+            assert value == projective_sphere_packing_bound(p, d)
+
 
 class TestTotalDistance:
     def test_mixed_profile(self):

@@ -1,20 +1,26 @@
 import random
-from math import comb
+from math import comb, prod
 
 import pytest
 
 from conftest import (
     dual_distribution_pair,
     msrd_d6_code,
+    oracle_supports,
     random_code,
     tup,
 )
-from srkit.ambient import enumerate_lattice, profile_create
-from srkit.code import code_create, dual, zero_code
+from srkit.ambient import enumerate_lattice, mobius, profile_create
+from srkit.cli import main
+from srkit.code import code_create, dual, full_code, zero_code
 from srkit.distributions import (
     ConjectureReport,
     RankListDistribution,
     SupportDistribution,
+    _lattice_sizes,
+    _lattice_supports,
+    _mobius_kernel,
+    _walk_supports,
     brute_distributions,
     binomial_moment_check,
     conjecture_scan,
@@ -29,9 +35,15 @@ from srkit.distributions import (
     omega_hat,
     omega_hat_exclusion_scan,
 )
-from srkit.errors import IncompleteDistribution, UnequalColumnSizes
+from srkit.errors import (
+    BadBlock,
+    IncompleteDistribution,
+    TooLarge,
+    UnequalColumnSizes,
+)
 from srkit.field import field_create
-from srkit.matq import count_matrices_of_rank, gaussian_binomial
+from srkit.matq import all_subspaces, count_matrices_of_rank, gaussian_binomial
+from srkit.srcfile import write_src_text
 
 F2 = field_create(2)
 F3 = field_create(3)
@@ -58,6 +70,111 @@ class TestBrute:
         assert srd.counts[6] > 0
         assert supd.ranklist().counts == rld.counts
         assert rld.sumrank(8).counts == srd.counts
+
+
+def _by_bases(counts):
+    """Support counts keyed by each block's canonical basis, as
+    `oracle_supports` keys them."""
+    return {tuple(p.basis for p in u.parts): c for u, c in counts.items()}
+
+
+def _code_of_dim(rng, F, blocks, k):
+    while True:
+        C = random_code(rng, F, blocks, k)
+        if C.k == k:
+            return C
+
+
+class TestRoutes:
+    """The walk and the lattice route against a walk written in tests/."""
+
+    # mixed n and unequal m; q^dim <= 1024 keeps the oracle walk quick
+    PROFILES = [
+        (F2, [(2, 3), (1, 2), (1, 1)]),
+        (F2, [(3, 3)]),
+        (F2, [(1, 4), (2, 2)]),
+        (F3, [(2, 2), (1, 2)]),
+        (F3, [(1, 3), (1, 2), (1, 1)]),
+        (F4, [(2, 2), (1, 1)]),
+        (F4, [(1, 2), (1, 2), (1, 1)]),
+    ]
+
+    @pytest.mark.parametrize("F,blocks", PROFILES)
+    def test_both_routes_match_the_oracle(self, F, blocks):
+        rng = random.Random(F.q * 100 + len(blocks))
+        p = profile_create(F, blocks)
+        codes = [zero_code(p), full_code(p)]
+        codes += [random_code(rng, F, blocks, rng.randrange(1, p.dim))
+                  for _ in range(3)]
+        for C in codes:
+            expect = oracle_supports(C)
+            assert _by_bases(_walk_supports(C)) == expect
+            assert _by_bases(_lattice_supports(C)) == expect
+            srd, rld, supd = brute_distributions(C)
+            assert _by_bases(supd.counts) == expect
+            assert rld.counts == supd.ranklist().counts
+            assert srd == rld.sumrank()
+            assert sum(srd.counts) == C.size()
+
+    @pytest.mark.parametrize("F,blocks,k", [
+        (F2, [(2, 3), (1, 2), (1, 1)], 5),  # |L| = 20: 32 < 40 <= 64
+        (F3, [(2, 2), (1, 2)], 2),          # |L| = 12: 9 < 24 <= 27
+        (F4, [(2, 2), (1, 1)], 2),          # |L| = 14: 16 < 28 <= 64
+    ])
+    def test_route_flips_at_the_cost_boundary(self, F, blocks, k,
+                                              monkeypatch):
+        import srkit.distributions as dist
+        p = profile_create(F, blocks)
+        assert F.q ** k < 2 * prod(_lattice_sizes(p)) <= F.q ** (k + 1)
+        ran = []
+        for name in ("_walk_supports", "_lattice_supports"):
+            def spy(code, override=False, name=name, route=getattr(dist, name)):
+                ran.append(name)
+                return route(code, override)
+            monkeypatch.setattr(dist, name, spy)
+        rng = random.Random(k)
+        for dim, expect in ((k, "_walk_supports"), (k + 1, "_lattice_supports")):
+            C = _code_of_dim(rng, F, blocks, dim)
+            _, _, supd = brute_distributions(C)
+            assert ran.pop() == expect
+            assert _by_bases(supd.counts) == oracle_supports(C)
+
+    def test_guard_gates_the_lattice_units(self, monkeypatch):
+        # 2^8 words, but |L| * sum |L_i| = 25 * 10 = 250 transform units
+        C = full_code(profile_create(F2, [(2, 2), (2, 2)]))
+        expect = oracle_supports(C)
+        monkeypatch.setenv("SRKIT_MAX_ENUM", "250")
+        with pytest.raises(TooLarge):
+            _walk_supports(C)
+        _, _, supd = brute_distributions(C)
+        assert _by_bases(supd.counts) == expect
+        monkeypatch.setenv("SRKIT_MAX_ENUM", "249")
+        with pytest.raises(TooLarge, match="lattice transform of size 250"):
+            brute_distributions(C)
+
+    def test_cli_lattice_guard_exits_3(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "full_2x2_2x2.src"
+        path.write_text(write_src_text(
+            full_code(profile_create(F2, [(2, 2), (2, 2)]))))
+        monkeypatch.setenv("SRKIT_MAX_ENUM", "249")
+        assert main(["distributions", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("guard exceeded: lattice transform of size 250")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("F,blocks", [(F2, [(3, 3), (2, 2)]),
+                                          (F3, [(2, 2), (1, 1)]),
+                                          (F4, [(3, 3)])])
+    def test_mobius_kernel_factors_the_tuple_mobius(self, F, blocks):
+        p = profile_create(F, blocks)
+        axes = [list(all_subspaces(n, F)) for n in p.ns]
+        kernels = [_mobius_kernel(F, axis) for axis in axes]
+        for v in enumerate_lattice(p):
+            for u in enumerate_lattice(p):
+                entry = prod(kernel[axis.index(a)][axis.index(b)]
+                             for kernel, axis, a, b
+                             in zip(kernels, axes, v.parts, u.parts))
+                assert entry == (mobius(v, u) if u.contains(v) else 0)
 
 
 class TestSumRankNoMacWilliams:
@@ -338,6 +455,19 @@ class TestOmegaHat:
                         if primal.excluded and not dual_scan.excluded:
                             found.append((shape, m, q, d))
         assert found
+
+
+class TestShapeValidation:
+    @pytest.mark.parametrize("fast", [False, True])
+    @pytest.mark.parametrize("scan", [omega_exclusion_scan,
+                                      omega_hat_exclusion_scan])
+    @pytest.mark.parametrize("shape", [(3, 0), (0,), (4, 2), (2, 5, 1), ()])
+    def test_rows_outside_one_to_m_are_rejected(self, shape, scan, fast):
+        with pytest.raises(BadBlock):
+            scan(shape, 3, 2, 2, fast=fast)
+
+    def test_rows_up_to_m_are_scanned(self):
+        assert omega_exclusion_scan((3, 1), 3, 2, 2).checked > 0
 
 
 class TestConjectureScan:
