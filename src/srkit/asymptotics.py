@@ -1,9 +1,10 @@
 """Asymptotic rate bounds as the number of blocks grows.
 
-The only floating-point module in the package.  Entropy minimization is a
-ternary search on log z (the objective is convex there), with the
-generating function evaluated in log-sum-exp form so huge integer
-coefficients never overflow.
+The only floating-point module in the package.  The entropy H(rho) behind
+the sphere curves is a convex minimum over w = log z in [-40, 0], solved by
+safeguarded Newton (bisection backs up any step that leaves the bracket) on
+log-sum-exp sums, so huge integer coefficients never overflow; H = 1
+exactly at the w = 0 end.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from .errors import DomainError
 from .matq import count_matrices_of_rank
 
 _LOG_Z_LO = -40.0
-_TERNARY_TOL = 1e-12
-_TERNARY_CAP = 200
+# stop once the quadratic model puts H within this of its minimum
+_H_TOL = 1e-16
+_NEWTON_CAP = 100
 
 
 def hilbert_entropy(x: float, Q: int) -> float:
@@ -42,12 +44,12 @@ def hilbert_entropy(x: float, Q: int) -> float:
 
 def asymptotic_induced(eta: float, q: int, m: int, which: str):
     """Asymptotic induced bounds on the rate; alphabet size Q = q^m."""
+    if which == "singleton":
+        return asymptotic_singleton(eta)
     if not 0 <= eta <= 1:
         raise DomainError(f"eta must lie in [0, 1], got {eta}")
     Q = q ** m
     r = 1.0 - 1.0 / Q
-    if which == "singleton":
-        return 1.0 - eta
     if which == "hamming":
         if eta == 0:
             return 1.0
@@ -125,57 +127,82 @@ def asymptotic_total_distance(eta: float, scenario: AsymptoticScenario) -> float
     return 1.0 - eta / cutoff
 
 
-def _rank_weights(n: int, m: int, q: int):
-    return [count_matrices_of_rank(n, m, s, q) for s in range(n + 1)]
-
-
 def average_rank_weight(n: int, m: int, q: int) -> Fraction:
     """Mean rank of a uniformly random n x m matrix, exact."""
-    counts = _rank_weights(n, m, q)
-    return Fraction(sum(s * c for s, c in enumerate(counts)), q ** (n * m))
+    total = sum(s * count_matrices_of_rank(n, m, s, q) for s in range(n + 1))
+    return Fraction(total, q ** (n * m))
+
+
+def _tilt(log_counts, w):
+    """(log f(e^w), E[s], n - E[s], Var[s]) for s ~ c_s e^{sw}, in one
+    log-sum-exp pass."""
+    n = len(log_counts) - 1
+    terms = [lc + s * w for s, lc in enumerate(log_counts)]
+    mx = max(terms)
+    weights = [math.exp(t - mx) for t in terms]
+    total = sum(weights)
+    mean = sum(s * x for s, x in enumerate(weights)) / total
+    rest = sum((n - s) * x for s, x in enumerate(weights)) / total
+    var = sum((s - mean) ** 2 * x for s, x in enumerate(weights)) / total
+    return mx + math.log(total), mean, rest, var
 
 
 def sumrank_entropy(rho: float, n: int, m: int, q: int) -> float:
     """H(rho) = min over z in (0,1] of log_{q^{nm}} (f(z) / z^rho).
 
-    f is the rank generating function of a single block; the minimization
-    runs over log z in [-40, 0] and the objective is evaluated in
-    log-sum-exp form.
+    f is the rank generating function of a single block.  In w = log z the
+    objective g(w) = log f(e^w) - rho w has g'(w) = E_w[s] - rho and
+    g''(w) = Var_w[s] >= 0 for s ~ c_s e^{sw}, and w is clamped to
+    [-40, 0].  If g'(0) = eps - rho <= 0 (eps the average rank), w = 0
+    and H = log_{q^{nm}} f(1) = 1 exactly.  Otherwise Newton runs from w = -40
+    on the logit log(E_w[s] / (n - E_w[s])) = log(rho / (n - rho)), which
+    is close to linear in w at both ends; a step that leaves the current
+    bracket is replaced by the plain Newton step on g', and by bisection if
+    that leaves too.  It stops at the clamp or once g'^2 / (2 g'') is below
+    _H_TOL in units of H.  H is capped at 1.
     """
-    eps = average_rank_weight(n, m, q)
-    if rho < 0 or rho > float(eps) + 1e-12:
-        raise DomainError(f"rho must lie in [0, {float(eps)}], got {rho}")
-    counts = _rank_weights(n, m, q)
-    log_counts = [math.log(c) for c in counts]
-
-    def objective(w):
-        # log f(e^w) - rho * w, via log-sum-exp over the terms log c_s + s w
-        terms = [lc + s * w for s, lc in enumerate(log_counts)]
-        mx = max(terms)
-        return mx + math.log(sum(math.exp(t - mx) for t in terms)) - rho * w
-
-    lo, hi = _LOG_Z_LO, 0.0
-    for _ in range(_TERNARY_CAP):
-        if hi - lo < _TERNARY_TOL:
-            break
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        if objective(m1) <= objective(m2):
-            hi = m2
+    eps = float(average_rank_weight(n, m, q))
+    if rho < 0 or rho > eps + 1e-12:
+        raise DomainError(f"rho must lie in [0, {eps}], got {rho}")
+    if rho >= eps:
+        return 1.0
+    log_counts = [math.log(count_matrices_of_rank(n, m, s, q))
+                  for s in range(n + 1)]
+    scale = n * m * math.log(q)
+    lo, hi, w = _LOG_Z_LO, 0.0, _LOG_Z_LO
+    for _ in range(_NEWTON_CAP):
+        log_f, mean, rest, var = _tilt(log_counts, w)
+        g = log_f - rho * w
+        if mean >= rho:
+            hi = w
         else:
-            lo = m1
-    w = (lo + hi) / 2
-    return objective(w) / (n * m * math.log(q))
+            lo = w
+        if hi == _LOG_Z_LO or (mean - rho) ** 2 <= 2 * var * _H_TOL * scale:
+            break
+        steps = ()
+        if var > 0:  # mass on two ranks at least, so mean > 0 and rest > 0
+            logit = math.log(rho / (n - rho)) - math.log(mean / rest)
+            steps = (logit * mean * rest / (n * var), (rho - mean) / var)
+        w = next((w + d for d in steps if lo < w + d < hi), (lo + hi) / 2)
+    return min(1.0, g / scale)
+
+
+_SPHERE_PAIR = ("sphere-packing-upper", "sphere-covering-lower")
+
+
+def _sphere_bound(name: str, eta: float, n: int, m: int, q: int) -> float:
+    """One side of the sphere pair: 1 - H(eta n / 2) for packing, and
+    1 - H(min(eta n, eps)) for covering."""
+    eps = float(average_rank_weight(n, m, q))
+    if eta <= 0 or eta > eps / n + 1e-12:
+        raise DomainError(f"eta must lie in (0, {eps / n}]")
+    rho = eta * n / 2 if name == "sphere-packing-upper" else min(eta * n, eps)
+    return 1.0 - sumrank_entropy(rho, n, m, q)
 
 
 def asymptotic_sphere_pack_cover(eta: float, n: int, m: int, q: int):
     """(upper, lower) rate bounds from packing and covering spheres."""
-    eps = average_rank_weight(n, m, q)
-    if eta <= 0 or eta > float(eps) / n + 1e-12:
-        raise DomainError(f"eta must lie in (0, {float(eps) / n}]")
-    upper = 1.0 - sumrank_entropy(eta * n / 2, n, m, q)
-    lower = 1.0 - sumrank_entropy(min(eta * n, float(eps)), n, m, q)
-    return upper, lower
+    return tuple(_sphere_bound(name, eta, n, m, q) for name in _SPHERE_PAIR)
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +236,10 @@ def evaluate_bound(name: str, eta: float, scenario: AsymptoticScenario):
             return asymptotic_singleton(eta)
         if name == "total-distance":
             return asymptotic_total_distance(eta, scenario)
-        if name in ("sphere-packing-upper", "sphere-covering-lower"):
+        if name in _SPHERE_PAIR:
             if scenario.m_head or not scenario.constant_tail:
                 raise DomainError("entropy bounds need equal block shapes")
-            up, low = asymptotic_sphere_pack_cover(eta, scenario.n_hat, m, q)
-            return up if name == "sphere-packing-upper" else low
+            return _sphere_bound(name, eta, scenario.n_hat, m, q)
         if name.startswith("induced-"):
             return asymptotic_induced(eta, q, m_top, name.removeprefix("induced-"))
     except DomainError:
@@ -243,6 +269,8 @@ def parse_grid(text: str):
         raise DomainError(f"grid ends and step must be finite, got {text!r}")
     if step <= 0:
         raise DomainError("grid step must be positive")
+    if a > b:
+        raise DomainError(f"grid start {a} exceeds its end {b}")
     out = []
     v = a
     while v <= b + 1e-12:

@@ -44,7 +44,7 @@ from .distributions import (
     omega_exclusion_scan,
     omega_hat_exclusion_scan,
 )
-from .errors import BadDistance, BadParameters, SrkitError, TooLarge
+from .errors import BadParameters, SrkitError, TooLarge
 from .field import field_from_order, prime_power
 from .srcfile import parse_src, write_src
 
@@ -222,8 +222,6 @@ def _positive_ints(text, flag):
 
 def cmd_omega(args, out):
     prime_power(args.q_int)
-    if args.d < 1:
-        raise BadDistance(f"distance must be at least 1, got {args.d}")
     scan = omega_hat_exclusion_scan if args.dual else omega_exclusion_scan
     res = scan(_positive_ints(args.shape, "--shape"), args.m, args.q_int,
                args.d, fast=args.fast)

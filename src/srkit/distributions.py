@@ -42,6 +42,7 @@ from .code import (
 )
 from .errors import (
     BadBlock,
+    BadDistance,
     IncompleteDistribution,
     SrkitError,
     UnequalColumnSizes,
@@ -464,11 +465,31 @@ def omega_exclusion_scan(shape, m: int, q: int, d: int, fast=False) -> ScanResul
     The scan runs grades d+1..N ascending with front-loaded vectors first
     (|u| <= d gives omega >= 0 always), so the reported witness is the
     graded-revlex smallest.  fast=True checks only the conjectured single
-    witness of weight d+1.  Every shape entry is a row count in 1..m.
+    witness of weight d+1.  Every shape entry is a row count in 1..m, and
+    d lies in 1..N.
     """
+    return _omega_scan(_scan_shape(shape, m, d), m, q, d, fast)
+
+
+def omega_hat_exclusion_scan(shape, m: int, q: int, d: int, fast=False) -> ScanResult:
+    """The scan for the dual distance N - d + 2 of a distance-d code."""
+    shape = _scan_shape(shape, m, d)
+    res = _omega_scan(shape, m, q, sum(shape) - d + 2, fast)
+    return ScanResult(res.excluded, res.witness, res.value,
+                      res.mode + "-dual", res.checked)
+
+
+def _scan_shape(shape, m: int, d: int):
+    """The shape sorted non-increasingly, after checking it and d."""
     shape = tuple(sorted(shape, reverse=True))
     if not shape or shape[-1] < 1 or shape[0] > m:
         raise BadBlock(f"shape {shape} needs row counts in 1..{m}")
+    if not 1 <= d <= sum(shape):
+        raise BadDistance(f"distance must lie in [1, {sum(shape)}], got {d}")
+    return shape
+
+
+def _omega_scan(shape, m: int, q: int, d: int, fast) -> ScanResult:
     if fast:
         u, value = omega_fast_closed_form(shape, m, q, d)
         if u is None:
@@ -485,13 +506,6 @@ def omega_exclusion_scan(shape, m: int, q: int, d: int, fast=False) -> ScanResul
             if value < 0:
                 return ScanResult(True, u, value, "full", checked)
     return ScanResult(False, None, None, "full", checked)
-
-
-def omega_hat_exclusion_scan(shape, m: int, q: int, d: int, fast=False) -> ScanResult:
-    N = sum(shape)
-    res = omega_exclusion_scan(shape, m, q, N - d + 2, fast=fast)
-    return ScanResult(res.excluded, res.witness, res.value,
-                      ("fast" if fast else "full") + "-dual", res.checked)
 
 
 @dataclass(frozen=True)

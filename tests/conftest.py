@@ -6,6 +6,7 @@ check (tiny local eliminations, direct enumeration).
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -189,6 +190,53 @@ def oracle_sphere_counts(blocks, q):
             pos += n * m
         counts[w] += 1
     return counts
+
+
+def oracle_rank_counts(n, m, q):
+    """Number of n x m matrices over GF(q) of each rank 0..n, built row by
+    row: a new row lies in the current row space (q^s choices, rank kept)
+    or outside it (q^m - q^s choices, rank + 1)."""
+    counts = [1]
+    for _ in range(n):
+        grown = [0] * (len(counts) + 1)
+        for s, c in enumerate(counts):
+            grown[s] += c * q ** s
+            grown[s + 1] += c * (q ** m - q ** s)
+        counts = grown
+    return counts
+
+
+def oracle_entropy(rho, n, m, q):
+    """min over w in [-40, 0] of log f(e^w) - rho w in units of log q^{nm},
+    f the one-block rank generating function, capped at 1.
+
+    200 bisection steps on the derivative E_w[s] - rho (s ~ c_s e^{sw}),
+    which increases with w; the clamped ends are taken as they are.
+    """
+    counts = oracle_rank_counts(n, m, q)
+
+    def mean_and_log_f(w):
+        logs = [math.log(c) + s * w for s, c in enumerate(counts)]
+        top = max(logs)
+        weights = [math.exp(x - top) for x in logs]
+        total = math.fsum(weights)
+        mean = math.fsum(s * x for s, x in enumerate(weights)) / total
+        return mean, top + math.log(total)
+
+    lo, hi = -40.0, 0.0
+    if mean_and_log_f(hi)[0] <= rho:
+        w = hi
+    elif mean_and_log_f(lo)[0] >= rho:
+        w = lo
+    else:
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if mean_and_log_f(mid)[0] < rho:
+                lo = mid
+            else:
+                hi = mid
+        w = (lo + hi) / 2
+    return min(1.0, (mean_and_log_f(w)[1] - rho * w) / (n * m * math.log(q)))
 
 
 def oracle_ops(q):

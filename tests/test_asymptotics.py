@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+from conftest import oracle_entropy, oracle_rank_counts
+import srkit.asymptotics as asymptotics
 from srkit.asymptotics import (
     BOUND_KEYS,
     AsymptoticScenario,
@@ -44,6 +46,14 @@ class TestHilbertEntropy:
 class TestInduced:
     def test_singleton_line(self):
         assert asymptotic_induced(0.3, 2, 4, "singleton") == 0.7
+
+    def test_singleton_is_the_singleton_bound(self):
+        for eta in (0.0, 0.3, 1.0):
+            assert asymptotic_induced(eta, 2, 4, "singleton") == \
+                asymptotic_singleton(eta)
+        for eta in (-0.1, 1.1):
+            with pytest.raises(DomainError):
+                asymptotic_induced(eta, 2, 4, "singleton")
 
     def test_plotkin_zero_at_cutoff(self):
         r = 1 - 2.0 ** -4
@@ -137,6 +147,101 @@ class TestSumRankEntropy:
         assert all(s >= -1e-9 for s in second)
 
 
+ENTROPY_QS = (2, 3, 4, 5, 16, 65536)
+SQUARE_OR_WIDE = [(n, m) for m in range(1, 5) for n in range(1, m + 1)]
+
+
+def _sweep_rhos(n, m, q):
+    """rho at 0, on both sides of the w = -40 clamp, inside, and at eps."""
+    eps = float(average_rank_weight(n, m, q))
+    # E_w[s] at w = -40, to first order in e^-40
+    clamp = oracle_rank_counts(n, m, q)[1] * math.exp(-40)
+    rhos = [0.0, clamp / 2, clamp * 2, 1e-9]
+    rhos += [eps * i / 9 for i in range(1, 9)]
+    rhos += [eps * (1 - 1e-12), eps]
+    return [rho for rho in rhos if rho <= eps]
+
+
+class TestEntropySolve:
+    @pytest.mark.parametrize("q", ENTROPY_QS)
+    def test_matches_bisection_oracle(self, q):
+        for n, m in SQUARE_OR_WIDE:
+            for rho in _sweep_rhos(n, m, q):
+                got = sumrank_entropy(rho, n, m, q)
+                assert abs(got - oracle_entropy(rho, n, m, q)) <= 1e-12, \
+                    (rho, n, m, q)
+                assert 0.0 <= got <= 1.0
+
+    @pytest.mark.parametrize("q", ENTROPY_QS)
+    def test_average_rank_gives_exactly_one(self, q):
+        for n, m in SQUARE_OR_WIDE:
+            eps = float(average_rank_weight(n, m, q))
+            assert sumrank_entropy(eps, n, m, q) == 1.0
+            assert sumrank_entropy(eps + 1e-13, n, m, q) == 1.0
+
+    def test_few_tilts_per_solve(self, monkeypatch):
+        tilts = []
+        tilt = asymptotics._tilt
+        monkeypatch.setattr(asymptotics, "_tilt",
+                            lambda *a: tilts.append(1) or tilt(*a))
+        n, m, q = 2, 4, 2
+        eps = float(average_rank_weight(n, m, q))
+        etas = [eta for eta in parse_grid("0:1:0.005") if 0 < eta <= eps / n]
+        rhos = [eta * n / 2 for eta in etas] + [eta * n for eta in etas]
+        for rho in rhos:
+            sumrank_entropy(min(rho, eps), n, m, q)
+        assert len(tilts) < 6 * len(rhos)
+        # no solve crawls, close to either end of the bracket included
+        for q in (2, 3, 4, 5):
+            for n, m in SQUARE_OR_WIDE:
+                eps = float(average_rank_weight(n, m, q))
+                for rho in (eps * 1e-6, eps / 2, eps * (1 - 1e-6),
+                            eps * (1 - 1e-12)):
+                    tilts.clear()
+                    sumrank_entropy(rho, n, m, q)
+                    assert len(tilts) <= 10, (rho, n, m, q)
+
+
+# the ten equal-shape scenarios (q, m, n) of the benchmark's curve ops
+CURVES = [(2, 4, 2), (2, 2, 2), (3, 3, 3), (2, 3, 2), (2, 3, 3), (3, 2, 2),
+          (4, 2, 2), (2, 4, 4), (5, 2, 1), (3, 3, 2)]
+SPHERE_PAIR = ("sphere-packing-upper", "sphere-covering-lower")
+
+
+class TestSpherePair:
+    def test_no_negative_zero_in_curves(self):
+        grid = parse_grid("0:1:0.005")
+        for q, m, n in CURVES:
+            sc = AsymptoticScenario(q=q, m_hat=m, n_hat=n)
+            csv = emit_series(sc, list(BOUND_KEYS), grid)
+            assert "-0.0000000000" not in csv, (q, m, n)
+        sc = AsymptoticScenario(q=5, m_hat=2, n_hat=1)
+        assert emit_series(sc, ["sphere-covering-lower"], [0.96]) == \
+            "eta,bound,value\n0.9600000000,sphere-covering-lower,0.0000000000\n"
+
+    @pytest.mark.parametrize("q,m,n", CURVES)
+    def test_each_side_is_the_pair_element(self, q, m, n):
+        sc = AsymptoticScenario(q=q, m_hat=m, n_hat=n)
+        for eta in parse_grid("0:1:0.02") + [1e-9]:
+            try:
+                pair = asymptotic_sphere_pack_cover(eta, n, m, q)
+            except DomainError:
+                pair = (None, None)
+            for name, want in zip(SPHERE_PAIR, pair):
+                got = evaluate_bound(name, eta, sc)
+                # bit for bit: repr round-trips a float exactly
+                assert repr(got) == repr(want), (name, eta)
+
+    def test_only_the_requested_side_is_solved(self, monkeypatch):
+        solves = []
+        solve = asymptotics.sumrank_entropy
+        monkeypatch.setattr(asymptotics, "sumrank_entropy",
+                            lambda *a: solves.append(a) or solve(*a))
+        grid = parse_grid("0:1:0.005")
+        csv = emit_series(SC_WIDE, list(SPHERE_PAIR), grid)
+        assert len(solves) == len(csv.splitlines()) - 1 == 362
+
+
 # embedded plot coordinates: series values a correct minimizer reproduces
 FIG1_TOTAL = {0.02: 0.9793548387, 0.1: 0.8967741936, 0.2: 0.7935483871,
               0.3: 0.6903225806, 0.4: 0.5870967742, 0.5: 0.4838709677,
@@ -220,6 +325,11 @@ class TestEmitSeries:
                      "0:1:0", "0:1:-1"):
             with pytest.raises(DomainError):
                 parse_grid(text)
+
+    def test_reversed_grid_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            parse_grid("1:0:0.5")
+        assert parse_grid("1:1:0.5") == [1.0]
 
     def test_out_of_domain_rows_skipped(self):
         csv = emit_series(SC_WIDE, ["sphere-packing-upper"], [0.5, 0.95])

@@ -16,6 +16,7 @@ from srkit.code import code_create, dual, full_code, zero_code
 from srkit.distributions import (
     ConjectureReport,
     RankListDistribution,
+    ScanResult,
     SupportDistribution,
     _lattice_sizes,
     _lattice_supports,
@@ -37,6 +38,7 @@ from srkit.distributions import (
 )
 from srkit.errors import (
     BadBlock,
+    BadDistance,
     IncompleteDistribution,
     TooLarge,
     UnequalColumnSizes,
@@ -468,6 +470,25 @@ class TestShapeValidation:
 
     def test_rows_up_to_m_are_scanned(self):
         assert omega_exclusion_scan((3, 1), 3, 2, 2).checked > 0
+
+    @pytest.mark.parametrize("fast", [False, True])
+    @pytest.mark.parametrize("scan", [omega_exclusion_scan,
+                                      omega_hat_exclusion_scan])
+    @pytest.mark.parametrize("d", [-1, 0, 5, 99])
+    def test_distance_outside_one_to_n_is_rejected(self, d, scan, fast):
+        with pytest.raises(BadDistance):
+            scan((3, 1), 3, 2, d, fast=fast)
+
+    @pytest.mark.parametrize("fast", [False, True])
+    @pytest.mark.parametrize("scan", [omega_exclusion_scan,
+                                      omega_hat_exclusion_scan])
+    def test_distance_one_to_n_is_scanned(self, scan, fast):
+        for d in range(1, 5):
+            res = scan((3, 1), 3, 2, d, fast=fast)
+            assert res.mode.startswith("fast" if fast else "full")
+        # d = N leaves no grade above d: nothing to check, no verdict
+        assert omega_exclusion_scan((3, 1), 3, 2, 4) == \
+            ScanResult(False, None, None, "full", 0)
 
 
 class TestConjectureScan:

@@ -119,6 +119,10 @@ class TestExitCodes:
                       "--d", "7"], id="omega-q-not-prime-power"),
         pytest.param(["omega", "--q", "3", "--m", "3", "--shape", "3,3,2",
                       "--d", "0"], id="omega-d-zero"),
+        pytest.param(["omega", "--q", "3", "--m", "3", "--shape", "3,3,2",
+                      "--d", "9"], id="omega-d-above-n"),
+        pytest.param(["omega", "--q", "3", "--m", "3", "--shape", "3,3,2",
+                      "--d", "9", "--dual"], id="omega-dual-d-above-n"),
         pytest.param(["asymptotics", "--q", "6", "--m", "4", "--n", "2",
                       "--bounds", "singleton"],
                      id="asymptotics-q-not-prime-power"),
@@ -157,6 +161,9 @@ class TestExitCodes:
         pytest.param(["asymptotics", "--q", "2", "--m", "2", "--n", "1",
                       "--grid", "0:inf:1", "--bounds", "singleton"],
                      id="asymptotics-grid-infinite"),
+        pytest.param(["asymptotics", "--q", "2", "--m", "4", "--n", "2",
+                      "--grid", "1:0:0.5", "--bounds", "singleton"],
+                     id="asymptotics-grid-reversed"),
         pytest.param(["construct", "combine", "--q", "2", "--profile", "1x4",
                       "--t2", "3", "--m-hat", "0"], id="combine-m-hat-zero"),
     ])
