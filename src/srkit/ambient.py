@@ -321,33 +321,37 @@ def blockdiag_embed(x: MatrixTuple) -> Mat:
     return Mat(F, rows)
 
 
-def poly_product(polys) -> list[int]:
+def poly_product(polys, degree=None) -> list[int]:
     """Coefficients (lowest degree first) of a product of polynomials, each
-    given by its coefficient list."""
+    given by its coefficient list; only up to y^degree when it is given."""
     acc = [1]
     for poly in polys:
-        out = [0] * (len(acc) + len(poly) - 1)
+        width = len(acc) + len(poly) - 1
+        if degree is not None:
+            width = min(width, degree + 1)
+        out = [0] * width
         for i, a in enumerate(acc):
             if a:
-                for j, c in enumerate(poly):
+                for j, c in enumerate(poly[:width - i]):
                     out[i + j] += a * c
         acc = out
     return acc
 
 
-def weight_spectrum(profile: Profile) -> list[int]:
-    """Count of ambient tuples at each sum-rank weight 0..N: the coefficients
-    of prod_i (sum_s #{rank-s matrices} y^s)."""
+def weight_spectrum(profile: Profile, degree=None) -> list[int]:
+    """Count of ambient tuples at each sum-rank weight 0..N (0..degree when
+    it is given): the coefficients of prod_i (sum_s #{rank-s matrices} y^s)."""
     q = profile.field.q
-    return poly_product([count_matrices_of_rank(n, m, s, q) for s in range(n + 1)]
-                        for n, m in profile.blocks)
+    blocks = ([count_matrices_of_rank(n, m, s, q) for s in range(n + 1)]
+              for n, m in profile.blocks)
+    return poly_product(blocks, degree)
 
 
 def sphere_volume(profile: Profile, r: int) -> int:
     """Number of tuples of sum-rank weight at most r (exact)."""
     if r < 0:
         raise BadDistance("radius must be non-negative")
-    return sum(weight_spectrum(profile)[:min(r, profile.N) + 1])
+    return sum(weight_spectrum(profile, r))
 
 
 def enumerate_tuples(profile: Profile, override=False):

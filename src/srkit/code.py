@@ -16,8 +16,9 @@ before either starts (see `minimum_distance`):
   layers hold nothing.  Cost: sum over w < d* of prod_i [n_i, w_i]_q tuples.
 - the walk ranks every block of all q^k codewords.
 
-The walk runs when q^k is below `_WORDS_PER_UNIT` times the lattice cost,
-and the enumeration guard gates the planned units of the route that runs.
+The walk is preferred when q^k is below `_WORDS_PER_UNIT` times the lattice
+cost; the other route runs when only it fits the enumeration guard
+(`guard.walk_runs`).
 `shorten` builds its constraints with the same helper as the lattice route,
 and `distributions.brute_distributions` ranks every subspace tuple with the
 same helper and the same depth-first walk over the blocks (`_tuple_ranks`).
@@ -50,7 +51,7 @@ from .errors import (
     ProfileMismatch,
     TrivialCode,
 )
-from .guard import check_enum
+from .guard import check_enum, walk_runs
 from .matq import (
     Mat,
     _rref_rows,
@@ -199,14 +200,16 @@ def minimum_distance(code: LinearCode, override=False) -> int:
       in those layers, sum prod [n_i, w_i]_q.
     - walk: rank every block of all q^k codewords.
 
-    The walk runs when q^k < _WORDS_PER_UNIT times the lattice cost; the
-    guard gates the planned units of the route that runs.
+    The walk is preferred when q^k < _WORDS_PER_UNIT times the lattice
+    cost.  The other route runs when only it fits the guard, and the
+    preferred route's TooLarge is raised when neither does.
     """
     if code.k == 0:
         raise TrivialCode("the zero code has no minimum distance")
     cap = _singleton_cap(code.profile, code.k)
     units = _lattice_units(code.profile, cap)
-    if code.size() < _WORDS_PER_UNIT * units:
+    words = code.size()
+    if walk_runs(words, units, words < _WORDS_PER_UNIT * units, override):
         return _walk_distance(code, override)
     return _lattice_distance(code, cap, units, override)
 

@@ -15,9 +15,19 @@ cost known before either starts (see `brute_distributions`):
   with mu_i(v, u) = (-1)^d q^C(d,2), d = dim u - dim v.  Cost: |L|.
 - the walk ranks every block of all q^k codewords.
 
-The walk runs when q^k is below `_WORDS_PER_TUPLE` times |L|, and the
-enumeration guard gates the planned units of the route that runs: q^k
-words, or the |L| * sum |L_i| contractions of the inversion.
+The walk is preferred when q^k is below `_WORDS_PER_TUPLE` times |L|.  The
+enumeration guard counts q^k words for the walk and the |L| * sum |L_i|
+contractions of the inversion for the lattice route, and the other route
+runs when only it fits (`guard.walk_runs`).
+
+Every lattice kernel reads one subspace table per distinct n, built per
+call (`_subspace_table`): the subspaces of GF(q)^n in `all_subspaces`
+order, their dimensions, the position of each one's orthogonal complement
+and each one's points (1-dimensional subspaces) as a bit mask.  v <= u is
+one AND of masks, and dim(h^perp meet u) comes from a popcount, since a
+w-dimensional space has (q^w - 1)/(q - 1) points.  The lattice route takes
+its constraint rows from the perps, and both transforms are guarded once,
+before the table is listed (`_lattice_tables`).
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, product
 from math import prod
+from typing import NamedTuple
 
 from .ambient import (
     Profile,
@@ -47,15 +58,13 @@ from .errors import (
     SrkitError,
     UnequalColumnSizes,
 )
-from .guard import check_enum, check_keys
+from .guard import check_enum, check_keys, walk_runs
 from .matq import (
     Subspace,
     _rref_rows,
     all_subspaces,
     gaussian_binomial,
     linear_combination,
-    orthogonal_complement,
-    subspace_intersect,
 )
 
 
@@ -109,13 +118,15 @@ def brute_distributions(code: LinearCode, override=False):
       q-binomials before anything is listed.
     - walk: the column spaces of every block of all q^k codewords.
 
-    The walk runs when q^k < _WORDS_PER_TUPLE * |L|; the guard gates the
-    planned units of the route that runs (q^k words for the walk, the
-    transform's |L| * sum |L_i| contractions for the lattice).  The
+    The walk is preferred when q^k < _WORDS_PER_TUPLE * |L|.  The guard
+    counts q^k words for the walk and the transform's |L| * sum |L_i|
+    contractions for the lattice; the other route runs when only it fits,
+    and the preferred route's TooLarge is raised when neither does.  The
     rank-list and sum-rank distributions follow from the support one.
     """
-    sizes = _lattice_sizes(code.profile)
-    if code.size() < _WORDS_PER_TUPLE * prod(sizes):
+    words, sizes = code.size(), _lattice_sizes(code.profile)
+    walk_first = words < _WORDS_PER_TUPLE * prod(sizes)
+    if walk_runs(words, _transform_units(sizes), walk_first, override):
         counts = _walk_supports(code, override)
     else:
         counts = _lattice_supports(code, override)
@@ -172,63 +183,106 @@ def _lattice_supports(code: LinearCode, override=False):
     the rank of all blocks' constraints together.
     """
     profile = code.profile
-    sizes = _lattice_sizes(profile)
-    check_enum(prod(sizes) * sum(sizes), override, what="lattice transform")
+    tables = _lattice_tables(profile, override)
     F = code.field
     q, k = F.q, code.k
-    subspaces = {n: list(all_subspaces(n, F, override)) for n in set(profile.ns)}
-    perps = {n: [orthogonal_complement(v).basis for v in axis]
-             for n, axis in subspaces.items()}
     picks = []
     for i, n in enumerate(profile.ns):
+        table = tables[n]
         block = []
-        for perp in perps[n]:
+        for p in table.perps:
             echelon = []
-            _extend(echelon, _constraint_rows(code, i, perp), k, F)
+            _extend(echelon, _constraint_rows(code, i, table.subspaces[p].basis),
+                    k, F)
             block.append([row for _, row in echelon])
         picks.append(block)
     powers = [q ** e for e in range(k + 1)]
     g = []
     for r, leaves in _tuple_ranks(picks, 0, [], k, F):
         g += [powers[k - r]] * leaves
-    kernels = {n: _mobius_kernel(F, axis) for n, axis in subspaces.items()}
-    values = _product_transform(g, [subspaces[n] for n in profile.ns],
+    kernels = {n: _mobius_kernel(table) for n, table in tables.items()}
+    values = _product_transform(g, [tables[n].subspaces for n in profile.ns],
                                 [kernels[n] for n in profile.ns])
     return {SubspaceTuple(profile, u, check=False): c for u, c in values if c}
 
 
-def _mobius_kernel(F, subspaces):
-    """Columns of mu(v, u) = (-1)^d q^C(d,2), d = dim u - dim v, for v <= u
-    and 0 otherwise, over the subspaces of GF(q)^n.
+class _SubspaceTable(NamedTuple):
+    """What every lattice kernel reads about GF(q)^n, position by position
+    in `all_subspaces` order (see the module docstring)."""
+    subspaces: list
+    dims: list
+    perps: list
+    masks: list
 
-    v <= u is one AND of bit masks over the points (1-dimensional
-    subspaces) of GF(q)^n: u's mask marks every point of u, v's the points
-    of its basis rows.  An RREF basis combined with coefficients whose
-    first nonzero is 1 gives each point of u once, with a leading 1.
+
+def _subspace_table(n, F, override=False):
+    """The table of GF(q)^n.
+
+    u's mask marks every point of u: an RREF basis combined with
+    coefficients whose first nonzero is 1 gives each point once, with a
+    leading 1.  u^perp is the meet of the hyperplanes x^perp over u's basis
+    rows x (the whole space when u = 0), and the normal of an RREF
+    hyperplane is read off its one free column.
     """
-    n = subspaces[0].ambient_dim
+    subspaces = list(all_subspaces(n, F, override))
     points = {}
 
     def bit(vec):
         return 1 << points.setdefault(tuple(vec), len(points))
 
-    spans = []
+    masks = []
     for u in subspaces:
         mask = 0
         for lead in range(u.dim):
             head = (0,) * lead + (1,)
             for tail in product(range(F.q), repeat=u.dim - lead - 1):
                 mask |= bit(linear_combination(head + tail, u.basis, n, F))
-        spans.append(mask)
-    signs = [_signed_power(F.q, d) for d in range(n + 1)]
-    kernel = []
-    for v in subspaces:
-        own = 0
-        for row in v.basis:
-            own |= bit(row)
-        kernel.append([signs[u.dim - v.dim] if span & own == own else 0
-                       for u, span in zip(subspaces, spans)])
-    return kernel
+        masks.append(mask)
+    hyperplanes = {}
+    for u, mask in zip(subspaces, masks):
+        if u.dim == n - 1:
+            pivots = [row.index(1) for row in u.basis]
+            free = next(c for c in range(n) if c not in pivots)
+            normal = [0] * n
+            normal[free] = 1
+            for p, row in zip(pivots, u.basis):
+                normal[p] = F.neg(row[free])
+            inv = F.inv(next(x for x in normal if x))
+            hyperplanes[bit([F.mul(inv, x) for x in normal])] = mask
+    index = {mask: h for h, mask in enumerate(masks)}
+    perps = []
+    for u in subspaces:
+        meet = masks[-1]
+        for row in u.basis:
+            meet &= hyperplanes[bit(row)]
+        perps.append(index[meet])
+    return _SubspaceTable(subspaces, [u.dim for u in subspaces], perps, masks)
+
+
+def _lattice_tables(profile: Profile, override=False):
+    """The subspace table of every distinct n of the profile, after the
+    lattice transform guard: |L| * sum |L_i| units, from q-binomials, so an
+    oversized lattice is refused before it is listed."""
+    check_enum(_transform_units(_lattice_sizes(profile)), override,
+               what="lattice transform")
+    return {n: _subspace_table(n, profile.field, override)
+            for n in set(profile.ns)}
+
+
+def _transform_units(sizes):
+    """|L| * sum |L_i|: the contractions of a lattice transform, from the
+    block lattices' sizes."""
+    return prod(sizes) * sum(sizes)
+
+
+def _mobius_kernel(table):
+    """Columns of mu(v, u) = (-1)^d q^C(d,2), d = dim u - dim v, for v <= u
+    and 0 otherwise, over the subspaces of the table."""
+    q = table.subspaces[0].field.q
+    signs = [_signed_power(q, d) for d in range(table.dims[-1] + 1)]
+    return [[signs[du - dv] if own & span == own else 0
+             for du, span in zip(table.dims, table.masks)]
+            for dv, own in zip(table.dims, table.masks)]
 
 
 # ---------------------------------------------------------------------------
@@ -292,18 +346,21 @@ class _Columns(dict):
         return col
 
 
-def _support_kernel(n, m, q, subspaces):
+def _support_kernel(m, table):
     """Columns of K(u, h) = sum_{v<=u} q^{m v} (-1)^{u-v} q^{C(u-v,2)} [w v]_q
-    over the subspaces of GF(q)^n, with u, v dimensions and
-    w = dim(h^perp meet u)."""
+    over the subspaces of the table, with u, v dimensions and
+    w = dim(h^perp meet u), read off the point count of the meet."""
+    q, n = table.subspaces[0].field.q, table.dims[-1]
     g = [[sum(q ** (m * v) * _signed_power(q, u - v) * gaussian_binomial(w, v, q)
               for v in range(u + 1))
           for w in range(n + 1)]
          for u in range(n + 1)]
+    meet_dim = {(q ** w - 1) // (q - 1): w for w in range(n + 1)}
 
     def column(h):
-        perp = orthogonal_complement(subspaces[h])
-        return [g[u.dim][subspace_intersect(perp, u).dim] for u in subspaces]
+        perp = table.masks[table.perps[h]]
+        return [g[du][meet_dim[(perp & mask).bit_count()]]
+                for du, mask in zip(table.dims, table.masks)]
 
     return _Columns(column)
 
@@ -316,15 +373,10 @@ def macwilliams_support(dist: SupportDistribution, cardinality: int,
     if dist.total() != cardinality:
         raise IncompleteDistribution(
             f"distribution sums to {dist.total()}, expected {cardinality}")
-    F = profile.field
-    q = F.q
-    # |L_i| from q-binomials: an oversized block is refused before it is listed
-    sizes = _lattice_sizes(profile)
-    check_enum(prod(sizes) * sum(sizes), override, what="lattice transform")
-    subspaces = {n: list(all_subspaces(n, F, override)) for n in set(profile.ns)}
-    by_shape = {(n, m): _support_kernel(n, m, q, subspaces[n])
+    tables = _lattice_tables(profile, override)
+    by_shape = {(n, m): _support_kernel(m, tables[n])
                 for n, m in set(profile.blocks)}
-    axes = [subspaces[n] for n in profile.ns]
+    axes = [tables[n].subspaces for n in profile.ns]
     values = _product_transform(
         _dense({h.parts: c for h, c in dist.counts.items()}, axes), axes,
         [by_shape[block] for block in profile.blocks])

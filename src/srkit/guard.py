@@ -3,7 +3,8 @@
 Exact enumeration is the workhorse of this library, so every potentially
 exponential loop is gated.  The codeword guard can be raised per-call
 (``override=True``) or globally through the ``SRKIT_MAX_ENUM`` environment
-variable.
+variable.  Where a walk and a lattice route give the same result,
+`walk_runs` runs the one that is not preferred when only it fits.
 """
 
 import os
@@ -27,6 +28,17 @@ def check_enum(size, override=False, what="enumeration"):
             f"{what} of size {size} exceeds guard {limit} "
             f"(pass override=True or set SRKIT_MAX_ENUM)"
         )
+
+
+def walk_runs(words, units, walk_first, override=False) -> bool:
+    """Whether the walk over `words` codewords runs rather than the lattice
+    route of `units`: the route preferred by cost (`walk_first`), unless
+    only the other one fits the guard.  Each route checks its own size as
+    it starts, so when neither fits, the preferred one raises TooLarge."""
+    limit = max_enum()
+    if override or (words <= limit) == (units <= limit):
+        return walk_first
+    return words <= limit
 
 
 def check_subspaces(count, override=False):

@@ -266,6 +266,29 @@ class TestDistanceRoutes:
         w = msrd_check(C)
         assert w.is_msrd and w.d == 2
 
+    def test_guard_runs_the_lattice_when_only_it_fits(self, monkeypatch):
+        # 2^4 words against 7 lattice units: the walk is preferred
+        # (16 < 4 * 7), but a guard of 10 only lets the lattice route run
+        C = random_code(random.Random(4), F2, [(3, 3)], 4)
+        cap = _singleton_cap(C.profile, C.k)
+        assert C.size() == 16 and _lattice_units(C.profile, cap) == 7
+        expect = oracle_min_distance(C)
+        taken = []
+        for name in ("_walk_distance", "_lattice_distance"):
+            real = getattr(code_mod, name)
+            monkeypatch.setattr(code_mod, name, lambda *a, real=real,
+                                name=name: taken.append(name) or real(*a))
+        monkeypatch.setenv("SRKIT_MAX_ENUM", "10")
+        assert minimum_distance(C) == expect
+        assert taken == ["_lattice_distance"]
+        # override lifts the guard, so the cost rule alone picks the route
+        assert minimum_distance(C, override=True) == expect
+        assert taken == ["_lattice_distance", "_walk_distance"]
+        # neither route fits: the preferred one's guard is named
+        monkeypatch.setenv("SRKIT_MAX_ENUM", "6")
+        with pytest.raises(TooLarge, match="codeword enumeration of size 16"):
+            minimum_distance(C)
+
     def test_lattice_guard_counts_units(self, monkeypatch):
         C = gabidulin_mrd(F2, 4, 4, 2)
         assert _lattice_units(C.profile, _singleton_cap(C.profile, C.k)) == 15

@@ -21,6 +21,8 @@ from srkit.distributions import (
     _lattice_sizes,
     _lattice_supports,
     _mobius_kernel,
+    _subspace_table,
+    _support_kernel,
     _walk_supports,
     brute_distributions,
     binomial_moment_check,
@@ -44,7 +46,13 @@ from srkit.errors import (
     UnequalColumnSizes,
 )
 from srkit.field import field_create
-from srkit.matq import all_subspaces, count_matrices_of_rank, gaussian_binomial
+from srkit.matq import (
+    all_subspaces,
+    count_matrices_of_rank,
+    gaussian_binomial,
+    orthogonal_complement,
+    subspace_intersect,
+)
 from srkit.srcfile import write_src_text
 
 F2 = field_create(2)
@@ -164,19 +172,85 @@ class TestRoutes:
         assert err.startswith("guard exceeded: lattice transform of size 250")
         assert "Traceback" not in err
 
+    def test_guard_runs_the_walk_when_only_it_fits(self, monkeypatch,
+                                                   tmp_path, capsys):
+        # 2^7 words against |L| * sum |L_i| = 250 transform units: the
+        # lattice route is preferred (128 >= 2 * 25), but a guard of 200
+        # only lets the walk run
+        C = _code_of_dim(random.Random(7), F2, [(2, 2), (2, 2)], 7)
+        expect = oracle_supports(C)
+        path = tmp_path / "k7_2x2_2x2.src"
+        path.write_text(write_src_text(C))
+        assert main(["distributions", str(path)]) == 0
+        unguarded = capsys.readouterr().out
+        monkeypatch.setenv("SRKIT_MAX_ENUM", "200")
+        with pytest.raises(TooLarge, match="lattice transform of size 250"):
+            _lattice_supports(C)
+        _, _, supd = brute_distributions(C)
+        assert _by_bases(supd.counts) == expect
+        assert main(["distributions", str(path)]) == 0
+        assert capsys.readouterr().out == unguarded
+        # neither route fits: the preferred one's guard is named
+        monkeypatch.setenv("SRKIT_MAX_ENUM", "127")
+        with pytest.raises(TooLarge, match="lattice transform of size 250"):
+            brute_distributions(C)
+
     @pytest.mark.parametrize("F,blocks", [(F2, [(3, 3), (2, 2)]),
                                           (F3, [(2, 2), (1, 1)]),
                                           (F4, [(3, 3)])])
     def test_mobius_kernel_factors_the_tuple_mobius(self, F, blocks):
         p = profile_create(F, blocks)
-        axes = [list(all_subspaces(n, F)) for n in p.ns]
-        kernels = [_mobius_kernel(F, axis) for axis in axes]
+        tables = [_subspace_table(n, F) for n in p.ns]
+        axes = [table.subspaces for table in tables]
+        kernels = [_mobius_kernel(table) for table in tables]
         for v in enumerate_lattice(p):
             for u in enumerate_lattice(p):
                 entry = prod(kernel[axis.index(a)][axis.index(b)]
                              for kernel, axis, a, b
                              in zip(kernels, axes, v.parts, u.parts))
                 assert entry == (mobius(v, u) if u.contains(v) else 0)
+
+
+class TestSubspaceTable:
+    """The one subspace table of GF(q)^n against the slow subspace
+    operations of `matq`."""
+
+    @pytest.mark.parametrize("F,n", [
+        pytest.param(F, n, id=f"GF{F.q}-n{n}")
+        for F, top in ((F2, 4), (F3, 3), (F4, 3)) for n in range(1, top + 1)])
+    def test_every_pair_against_the_slow_path(self, F, n):
+        q = F.q
+        table = _subspace_table(n, F)
+        subs = table.subspaces
+        assert subs == list(all_subspaces(n, F))
+        assert table.dims == [u.dim for u in subs]
+        for h, perp in zip(subs, table.perps):
+            slow = orthogonal_complement(h)
+            assert subs[perp] == slow
+            for u, mask in zip(subs, table.masks):
+                w = subspace_intersect(slow, u).dim
+                points = (table.masks[perp] & mask).bit_count()
+                assert points == (q ** w - 1) // (q - 1)
+        for v, own in zip(subs, table.masks):
+            for u, mask in zip(subs, table.masks):
+                assert (own & mask == own) == u.contains(v)
+
+    def test_support_kernel_matches_the_intersection_formula(self):
+        q, n, m = 2, 5, 5
+        table = _subspace_table(n, F2)
+        subs = table.subspaces
+        kernel = _support_kernel(m, table)
+
+        def entry(u, w):
+            return sum(q ** (m * v) * (-1) ** (u - v) * q ** comb(u - v, 2)
+                       * gaussian_binomial(w, v, q) for v in range(u + 1))
+
+        picks = [0, len(subs) - 1] + random.Random(5).sample(
+            range(1, len(subs) - 1), 10)
+        for h in picks:
+            perp = orthogonal_complement(subs[h])
+            assert kernel[h] == [entry(u.dim, subspace_intersect(perp, u).dim)
+                                 for u in subs]
 
 
 class TestSumRankNoMacWilliams:
