@@ -276,7 +276,8 @@ def cmd_construct(args, out):
     elif name == "msrd111-ext":
         code = construct_msrd111_ext(field, args.m, args.s)
     elif name == "simplex-lift":
-        code, cert = simplex_lift(field, args.m, args.n, args.r)
+        code, cert = simplex_lift(field, args.m, args.n, args.r,
+                                  override=args.override)
         print(f"simplex lift: t={cert.t}, dim {cert.dim}, |C|={cert.size}, "
               f"srk={cert.sumrank}, induced plotkin {cert.induced_plotkin}, "
               f"meets={cert.meets_plotkin} (structural certificate)", file=out)

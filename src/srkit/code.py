@@ -54,6 +54,7 @@ from .errors import (
 from .guard import check_enum, walk_runs
 from .matq import (
     Mat,
+    _extend,
     _rref_rows,
     enumerate_subspaces,
     gaussian_binomial,
@@ -112,8 +113,7 @@ def code_create(profile: Profile, generators) -> LinearCode:
         if not isinstance(g, MatrixTuple) or g.profile != profile:
             raise ProfileMismatch("generator does not live in the given profile")
     rows = [flatten(g) for g in gens]
-    rows, rk, _ = _rref_rows(rows, profile.dim, profile.field)
-    return LinearCode(profile, rows[:rk])
+    return LinearCode(profile, _rref_rows(rows, profile.field)[0])
 
 
 def full_code(profile: Profile) -> LinearCode:
@@ -177,10 +177,11 @@ def codewords(code: LinearCode, override=False):
 
 
 def _srk_of_flat(vec, slices, F):
+    """Sum-rank weight of a flat word: block ranks by forward elimination."""
     total = 0
     for pos, n, m in slices:
-        rows = [list(vec[pos + i * m: pos + (i + 1) * m]) for i in range(n)]
-        total += _rref_rows(rows, m, F)[1]
+        rows = [vec[pos + i * m: pos + (i + 1) * m] for i in range(n)]
+        total += len(_extend([], rows, min(n, m), F))
     return total
 
 
@@ -264,42 +265,12 @@ def _constraint_rows(code: LinearCode, block: int, prows):
     in the orthogonal complement of span(prows).
     """
     pos, n, m = code.profile.slices[block]
-    F = code.field
-    add, mul = F.add, F.mul
+    # cols[b][i]: entry (i, b) of the block, read across the basis
+    cols = [[[vec[pos + i * m + b] for vec in code._flat] for i in range(n)]
+            for b in range(m)]
     for prow in prows:
         for b in range(m):
-            row = []
-            for vec in code._flat:
-                acc = 0
-                for i in range(n):
-                    x = vec[pos + i * m + b]
-                    if x and prow[i]:
-                        acc = add(acc, mul(prow[i], x))
-                row.append(acc)
-            yield row
-
-
-def _extend(echelon, rows, k, F):
-    """Add rows to a semi-echelon basis until its rank reaches k.
-
-    `echelon` holds (pivot, row) pairs; each row is 1 at its pivot and 0 at
-    every earlier pivot, so one pass in order clears a new row.
-    """
-    add, mul, neg = F.add, F.mul, F.neg
-    for v in rows:
-        if len(echelon) == k:
-            return
-        for c, row in echelon:
-            f = v[c]
-            if f:
-                nf = neg(f)
-                v = [add(x, mul(nf, y)) if y else x for x, y in zip(v, row)]
-        lead = next((c for c, x in enumerate(v) if x), None)
-        if lead is not None:
-            if v[lead] != 1:
-                inv = F.inv(v[lead])
-                v = [mul(inv, x) for x in v]
-            echelon.append((lead, v))
+            yield linear_combination(prow, cols[b], code.k, code.field)
 
 
 def _lattice_distance(code: LinearCode, cap: int, units: int,
@@ -319,10 +290,10 @@ def _lattice_distance(code: LinearCode, cap: int, units: int,
         if (i, e) not in spaces:
             seen = {}
             for perp in enumerate_subspaces(ns[i], e, F, override):
-                echelon = []
-                _extend(echelon, _constraint_rows(code, i, perp.basis), k, F)
+                echelon = _extend([], _constraint_rows(code, i, perp.basis),
+                                  k, F)
                 if len(echelon) < k:
-                    rows = _rref_rows([r for _, r in echelon], k, F)[0]
+                    rows = _rref_rows([r for _, r in echelon], F)[0]
                     seen[tuple(tuple(r) for r in rows)] = None
             spaces[(i, e)] = list(seen)
         return spaces[(i, e)]
@@ -490,11 +461,11 @@ def systematic_form(code: LinearCode, witness: MsrdWitness | None = None,
     for new, old in enumerate(order):
         inv[old] = new
     rows = [[vec[order[c]] for c in range(profile.dim)] for vec in code._flat]
-    rows, rk, pivots = _rref_rows(rows, profile.dim, F)
-    if rk != code.k or pivots != list(range(code.k)):
+    rows, pivots = _rref_rows(rows, F)
+    if pivots != list(range(code.k)):
         raise NotMsrd("tail positions do not form an information set")
     basis = []
-    for r in rows[:rk]:
+    for r in rows:
         vec = [r[inv[pos]] for pos in range(profile.dim)]
         basis.append(unflatten(profile, vec))
     return SystematicForm(tuple(basis), tail, head, j, delta)
@@ -514,9 +485,8 @@ def _subcode(code: LinearCode, constraints, profile: Profile,
     if constraints:
         rows = [linear_combination(c, rows, code.profile.dim, F)
                 for c in nullspace(Mat(F, constraints)).basis]
-    rows, rk, _ = _rref_rows([[r[c] for c in positions] for r in rows],
-                             profile.dim, F)
-    return LinearCode(profile, rows[:rk])
+    rows, _ = _rref_rows([[r[c] for c in positions] for r in rows], F)
+    return LinearCode(profile, rows)
 
 
 def _cells(profile: Profile):

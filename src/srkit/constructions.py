@@ -15,6 +15,7 @@ from .bounds import induced_bounds
 from .code import LinearCode, _subcode, code_create, codewords, dual
 from .errors import BadParameters, HypothesisFailed, LengthTooLong, SrkitError
 from .field import Field, tower_create
+from .guard import check_enum
 from .matq import Mat, linear_combination, rank
 
 
@@ -386,7 +387,7 @@ class SimplexLiftCertificate:
     columns_distinct: bool
 
 
-def simplex_lift(field: Field, m: int, n: int, r: int):
+def simplex_lift(field: Field, m: int, n: int, r: int, override=False):
     """Lift the dimension-r simplex code over GF(q^m) through [n x m; n] MRD
     blocks; meets the induced Plotkin bound with equality."""
     if not 1 <= n <= m:
@@ -394,6 +395,7 @@ def simplex_lift(field: Field, m: int, n: int, r: int):
     tower = tower_create(field, m)
     top = tower.top
     Q = top.q
+    check_enum((Q ** r - 1) // (Q - 1), override, what="simplex lift columns")
     # columns: all projective points of PG(r-1, q^m), leading-one normalized
     cols = []
     for lead in range(r):

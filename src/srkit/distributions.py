@@ -47,7 +47,6 @@ from .ambient import (
 from .code import (
     LinearCode,
     _constraint_rows,
-    _extend,
     _iter_flat_words,
     _tuple_ranks,
 )
@@ -61,10 +60,12 @@ from .errors import (
 from .guard import check_enum, check_keys, walk_runs
 from .matq import (
     Subspace,
+    _extend,
     _rref_rows,
     all_subspaces,
     gaussian_binomial,
     linear_combination,
+    orthogonal_complement,
 )
 
 
@@ -167,8 +168,8 @@ def _walk_supports(code: LinearCode, override=False):
         parts = []
         for pos, n, m in slices:
             cols = [[vec[pos + i * m + b] for i in range(n)] for b in range(m)]
-            rows, rk, _ = _rref_rows(cols, n, F)
-            parts.append(Subspace(F, n, rows[:rk], canonical=True))
+            rows = _rref_rows(cols, F)[0]
+            parts.append(Subspace(F, n, rows, canonical=True))
         u = SubspaceTuple(profile, parts, check=False)
         counts[u] = counts.get(u, 0) + 1
         check_keys(len(counts))
@@ -191,9 +192,8 @@ def _lattice_supports(code: LinearCode, override=False):
         table = tables[n]
         block = []
         for p in table.perps:
-            echelon = []
-            _extend(echelon, _constraint_rows(code, i, table.subspaces[p].basis),
-                    k, F)
+            echelon = _extend(
+                [], _constraint_rows(code, i, table.subspaces[p].basis), k, F)
             block.append([row for _, row in echelon])
         picks.append(block)
     powers = [q ** e for e in range(k + 1)]
@@ -221,8 +221,8 @@ def _subspace_table(n, F, override=False):
     u's mask marks every point of u: an RREF basis combined with
     coefficients whose first nonzero is 1 gives each point once, with a
     leading 1.  u^perp is the meet of the hyperplanes x^perp over u's basis
-    rows x (the whole space when u = 0), and the normal of an RREF
-    hyperplane is read off its one free column.
+    rows x (the whole space when u = 0), and a hyperplane's normal is the
+    one RREF row of its orthogonal complement, keyed as a point like them.
     """
     subspaces = list(all_subspaces(n, F, override))
     points = {}
@@ -241,14 +241,7 @@ def _subspace_table(n, F, override=False):
     hyperplanes = {}
     for u, mask in zip(subspaces, masks):
         if u.dim == n - 1:
-            pivots = [row.index(1) for row in u.basis]
-            free = next(c for c in range(n) if c not in pivots)
-            normal = [0] * n
-            normal[free] = 1
-            for p, row in zip(pivots, u.basis):
-                normal[p] = F.neg(row[free])
-            inv = F.inv(next(x for x in normal if x))
-            hyperplanes[bit([F.mul(inv, x) for x in normal])] = mask
+            hyperplanes[bit(orthogonal_complement(u).basis[0])] = mask
     index = {mask: h for h, mask in enumerate(masks)}
     perps = []
     for u in subspaces:

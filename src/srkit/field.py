@@ -674,12 +674,12 @@ class Tower:
             bj = top.pow(self._beta, j)
             for i in range(k):
                 cols.append(top._digits(top.mul(bj, top.pow(self._root, i))))
-        # invert the km x km matrix over GF(p): RREF of [A | I] is [I | A^-1]
+        # the RREF of [A | I] over GF(p) is [I | A^-1] iff A is invertible
         aug = [[cols[c][r] for c in range(km)]
                + [1 if c2 == r else 0 for c2 in range(km)]
                for r in range(km)]
-        aug, rk, _ = _rref_rows(aug, km, field_create(self.base.p))
-        if rk != km:
+        aug, pivots = _rref_rows(aug, field_create(self.base.p))
+        if pivots != list(range(km)):
             raise IncompatibleTower("basis powers are dependent")
         self._inv_matrix = [r[km:] for r in aug]
 

@@ -3,6 +3,10 @@
 Subspaces are always stored by their reduced row-echelon basis, which is the
 unique canonical representative; that makes them usable as dictionary keys
 for support distributions.
+
+One row reducer does every elimination: the semi-echelon insert `_extend`,
+where ranks stop, and `_rref_rows`, which sorts its basis by pivot and
+back-substitutes with `_reduce`.
 """
 
 from __future__ import annotations
@@ -66,30 +70,51 @@ def parse_mat(field: Field, text: str) -> Mat:
     return Mat(field, rows)
 
 
-def _rref_rows(rows, ncols, F):
-    """In-place RREF; returns (rows, rank, pivots)."""
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
+def _reduce(echelon, v, F):
+    """v cleared at every pivot of `echelon`: (pivot, row) pairs, each row 1
+    at its pivot and 0 at the pivots before it, so one pass in order works."""
+    add, mul, neg = F.add, F.mul, F.neg
+    for c, row in echelon:
+        f = v[c]
+        if f:
+            nf = neg(f)
+            v = [add(x, mul(nf, y)) if y else x for x, y in zip(v, row)]
+    return v
+
+
+def _extend(echelon, rows, k, F):
+    """Insert rows into the semi-echelon basis `echelon` (as `_reduce` reads
+    it) until its rank reaches k, and return it: each row is cleared, then
+    kept scaled to a leading 1 unless it is zero."""
+    add, mul, neg = F.add, F.mul, F.neg
+    for v in rows:
+        if len(echelon) == k:
             break
-        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r][c]
-        if lead != 1:
-            inv = F.inv(lead)
-            rows[r] = [F.mul(inv, x) for x in rows[r]]
-        pr = rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], pr)]
-        pivots.append(c)
-        r += 1
-    return rows, r, pivots
+        # `_reduce` inlined: a call per row slows the tiny blocks of the walk
+        for c, row in echelon:
+            f = v[c]
+            if f:
+                nf = neg(f)
+                v = [add(x, mul(nf, y)) if y else x for x, y in zip(v, row)]
+        for lead, x in enumerate(v):
+            if x:
+                if x != 1:
+                    inv = F.inv(x)
+                    v = [mul(inv, y) for y in v]
+                echelon.append((lead, v))
+                break
+    return echelon
+
+
+def _rref_rows(rows, F):
+    """RREF of `rows` as (nonzero rows, pivots): the semi-echelon basis
+    sorted by pivot, each row cleared at the later pivots bottom-up."""
+    width = len(rows[0]) if rows else 0
+    echelon = sorted(_extend([], rows, min(len(rows), width), F))
+    for i in range(len(echelon) - 2, -1, -1):
+        c, row = echelon[i]
+        echelon[i] = c, _reduce(echelon[i + 1:], row, F)
+    return [row for _, row in echelon], [c for c, _ in echelon]
 
 
 def linear_combination(coeffs, rows, width, F):
@@ -105,23 +130,18 @@ def linear_combination(coeffs, rows, width, F):
 
 def in_rref_span(rows, vec, F) -> bool:
     """Whether vec lies in the span of RREF rows: clear each pivot, test zero."""
-    v = list(vec)
-    for row in rows:
-        p = next(i for i, x in enumerate(row) if x)
-        if v[p]:
-            f = v[p]
-            v = [F.sub(x, F.mul(f, y)) for x, y in zip(v, row)]
-    return not any(v)
+    return not any(_reduce([(row.index(1), row) for row in rows], vec, F))
 
 
 def rref(m: Mat):
     """Reduced row-echelon form: (Mat, rank, pivot columns)."""
-    rows, rank, pivots = _rref_rows([list(r) for r in m.rows], m.ncols, m.field)
-    return Mat(m.field, rows), rank, pivots
+    rows, pivots = _rref_rows(m.rows, m.field)
+    pad = [[0] * m.ncols] * (m.nrows - len(rows))
+    return Mat(m.field, rows + pad), len(rows), pivots
 
 
 def rank(m: Mat) -> int:
-    return _rref_rows([list(r) for r in m.rows], m.ncols, m.field)[1]
+    return len(_rref_rows(m.rows, m.field)[0])
 
 
 class Subspace:
@@ -135,8 +155,8 @@ class Subspace:
         if canonical:
             self.basis = tuple(tuple(r) for r in basis_rows)
         else:
-            rows, rk, _ = _rref_rows([list(r) for r in basis_rows], ambient_dim, field)
-            self.basis = tuple(tuple(r) for r in rows[:rk])
+            rows, _ = _rref_rows(list(basis_rows), field)
+            self.basis = tuple(tuple(r) for r in rows)
 
     @property
     def dim(self):
@@ -151,9 +171,13 @@ class Subspace:
         return cls(field, n, Mat.identity(field, n).rows, canonical=True)
 
     def contains_vector(self, vec):
+        if len(vec) != self.ambient_dim:
+            raise AmbientMismatch("vector of a different ambient space")
         return in_rref_span(self.basis, vec, self.field)
 
     def contains(self, other: "Subspace") -> bool:
+        if (other.field, other.ambient_dim) != (self.field, self.ambient_dim):
+            raise AmbientMismatch("subspaces of different ambient spaces")
         return all(self.contains_vector(r) for r in other.basis)
 
     def __eq__(self, other):
@@ -177,7 +201,7 @@ def colspace(m: Mat) -> Subspace:
 def nullspace(m: Mat) -> Subspace:
     """Right kernel {v : m v = 0} as a canonical subspace of F^ncols."""
     F = m.field
-    rows, rk, pivots = _rref_rows([list(r) for r in m.rows], m.ncols, F)
+    rows, pivots = _rref_rows(m.rows, F)
     pivset = set(pivots)
     free = [c for c in range(m.ncols) if c not in pivset]
     basis = []

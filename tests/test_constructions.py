@@ -24,7 +24,12 @@ from srkit.constructions import (
     rs_mds,
     simplex_lift,
 )
-from srkit.errors import BadParameters, HypothesisFailed, LengthTooLong
+from srkit.errors import (
+    BadParameters,
+    HypothesisFailed,
+    LengthTooLong,
+    TooLarge,
+)
 from srkit.field import field_create, tower_create
 from srkit.matq import Mat
 
@@ -280,6 +285,11 @@ class TestSimplexLift:
         weights = [sumrank_weight(x) for x in codewords(code)
                    if not x.is_zero()]
         assert all(w == 4 for w in weights)
+
+    def test_columns_are_guarded(self):
+        # (64^6 - 1)/63 projective points: refused before they are listed
+        with pytest.raises(TooLarge):
+            simplex_lift(F2, 6, 1, 6)
 
     def test_small_square_blocks(self):
         code, cert = simplex_lift(F2, 2, 2, 2)

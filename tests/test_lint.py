@@ -67,3 +67,16 @@ def test_library_has_no_dead_private_helper():
         if not any(used == node.name and id(n) not in inside for used, n in uses):
             found.append(f"{name}:{node.lineno} {node.name}")
     assert len(private) > 40 and found == []
+
+
+def test_only_matq_eliminates():
+    # pivot normalisation gives an elimination away: only the field itself
+    # and matq's one row reducer invert field elements
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             if path.name not in ("matq.py", "field.py")
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "inv"]
+    assert found == []

@@ -4,14 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_combination
+from conftest import oracle_combination, oracle_rank, oracle_rref
+from srkit.code import _srk_of_flat
+from srkit.errors import AmbientMismatch
 from srkit.field import field_create
 from srkit.matq import (
     Mat,
     Subspace,
+    _extend,
     colspace,
     enumerate_subspaces,
     gaussian_binomial,
+    in_rref_span,
     linear_combination,
     nullspace,
     orthogonal_complement,
@@ -51,6 +55,62 @@ class TestRref:
             M = Mat(F, [[rng.randrange(F.q) for _ in range(m)]
                         for _ in range(n)])
             assert rank(M) == rank(M.transpose())
+
+
+@st.composite
+def matrices(draw):
+    """(field, width, rows): up to 6x6 over GF(2), GF(3) or GF(4), wide or
+    tall, with zero rows, repeated rows or no rows at all."""
+    F = draw(st.sampled_from([F2, F3, F4]))
+    width = draw(st.integers(1, 6))
+    row = st.lists(st.integers(0, F.q - 1), min_size=width, max_size=width)
+    rows = draw(st.lists(st.one_of(row, st.just([0] * width)), max_size=6))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=6 - len(rows)))
+    return F, width, rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(matrices(), st.data())
+def test_row_reduction_matches_oracles(case, data):
+    F, width, rows = case
+    q = F.q
+    expect = oracle_rref(rows, q)
+    reduced, rk, pivots = rref(Mat(F, rows))
+    assert reduced.rows[:rk] == expect
+    assert all(not any(r) for r in reduced.rows[rk:])
+    assert pivots == [r.index(1) for r in expect]
+    assert rank(Mat(F, rows)) == oracle_rank(rows, q) == rk
+
+    vec = data.draw(st.lists(st.integers(0, q - 1), min_size=width,
+                             max_size=width))
+    assert in_rref_span(reduced.rows[:rk], vec, F) == (
+        oracle_rank(rows + [vec], q) == rk)
+
+    # consecutive row groups as the blocks of one flat word
+    cuts = sorted(set(data.draw(st.lists(st.integers(1, len(rows)),
+                                         max_size=3)) if rows else []))
+    bounds = list(zip([0] + cuts, cuts + [len(rows)]))
+    slices = [(a * width, b - a, width) for a, b in bounds if b > a]
+    flat = [x for r in rows for x in r]
+    assert _srk_of_flat(flat, slices, F) == sum(
+        oracle_rank(rows[a:b], q) for a, b in bounds)
+
+    k = data.draw(st.integers(0, len(rows)))
+    assert len(_extend([], rows, k, F)) == min(k, rk)
+
+
+S2 = Subspace(F2, 2, [(1, 0)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: S2.contains_vector((1, 0, 1)),
+    lambda: S2.contains_vector((0,)),
+    lambda: S2.contains(Subspace(F2, 3, [(1, 0, 0)])),
+], ids=["longer-vector", "shorter-vector", "subspace-of-F3"])
+def test_containment_checks_the_ambient_space(call):
+    with pytest.raises(AmbientMismatch):
+        call()
 
 
 class TestColspace:
