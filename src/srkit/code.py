@@ -19,9 +19,18 @@ before either starts (see `minimum_distance`):
 The walk is preferred when q^k is below `_WORDS_PER_UNIT` times the lattice
 cost; the other route runs when only it fits the enumeration guard
 (`guard.walk_runs`).
-`shorten` builds its constraints with the same helper as the lattice route,
-and `distributions.brute_distributions` ranks every subspace tuple with the
-same helper and the same depth-first walk over the blocks (`_tuple_ranks`).
+`shorten` builds its constraints with the same helper as the lattice route
+(`_constraints`), and `distributions.brute_distributions` ranks every
+subspace tuple with the same helper and the same depth-first walk over the
+blocks (`_tuple_ranks`).
+
+Both routes rank rows in the representation `matq._row_ops` picks for the
+field.  Over GF(2) a row is one int and ranks come from the packed insert
+`matq._extend_bits`: the constraint rows are XORs of per-entry bitmasks over
+the basis, and the walk keeps each word as one int, XORs basis rows as the
+base-2 counter steps and ranks each block's bit slices (`_packed_weights`).
+`shorten` and `_subcode` build new codes, so they keep rows of field codes,
+as do `_iter_flat_words` and `codewords`.
 
 Every derived code comes from one primitive, `_subcode`: keep the words whose
 coefficient vectors meet some constraint rows over F^k, then read them at
@@ -55,6 +64,8 @@ from .guard import check_enum, walk_runs
 from .matq import (
     Mat,
     _extend,
+    _field_rows,
+    _row_ops,
     _rref_rows,
     enumerate_subspaces,
     gaussian_binomial,
@@ -216,13 +227,12 @@ def minimum_distance(code: LinearCode, override=False) -> int:
 
 
 def _walk_distance(code: LinearCode, override=False) -> int:
-    F = code.field
-    slices = code.profile.slices
+    """Least sum-rank weight over the nonzero words, walked in lexicographic
+    coefficient order; weight 1 ends the walk."""
+    ops = _row_ops(code.field)
     best = None
-    for digits, vec in _iter_flat_words(code, override):
-        if not any(digits):
-            continue
-        w = _srk_of_flat(vec, slices, F)
+    for w in (_packed_weights(code, ops, override) if ops.packed
+              else _field_weights(code, override)):
         if best is None or w < best:
             best = w
             if best == 1:
@@ -230,13 +240,49 @@ def _walk_distance(code: LinearCode, override=False) -> int:
     return best
 
 
+def _field_weights(code: LinearCode, override=False):
+    """Sum-rank weights of the nonzero words, on the `_iter_flat_words`
+    stream."""
+    F = code.field
+    slices = code.profile.slices
+    words = _iter_flat_words(code, override)
+    next(words)  # the zero word
+    for _, vec in words:
+        yield _srk_of_flat(vec, slices, F)
+
+
+def _packed_weights(code: LinearCode, ops, override=False):
+    """`_field_weights` over GF(2) with each word one packed int, in the
+    same order.  The base-2 counter's step at digit i turns it from 0 to 1
+    and every later digit from 1 to 0, so it XORs basis rows i..k-1; block
+    row a of a block at flat position pos is the m bits at pos + a*m."""
+    check_enum(code.size(), override, what="codeword enumeration")
+    k, extend = code.k, ops.extend
+    suffix = [0] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        suffix[i] = suffix[i + 1] ^ ops.pack(code._flat[i])
+    cuts = [((1 << m) - 1, range(pos, pos + n * m, m), min(n, m))
+            for pos, n, m in code.profile.slices]
+    cur = 0
+    for c in range(1, 1 << k):
+        cur ^= suffix[k - (c ^ (c - 1)).bit_length()]
+        w = 0
+        for mask, starts, r in cuts:
+            w += len(extend([], [cur >> s & mask for s in starts], r))
+        yield w
+
+
 # One lattice unit (a subspace tuple whose shortening is ranked) costs about
 # as much as walking this many codewords.  Measured with CPython 3.11 on a
-# 2-vCPU x86-64 machine over the 28 codes that perfbench's certify workload
-# certifies (GF(2), GF(3), GF(4), GF(256); 2^5 to 2^16 words): a unit took
-# 0.015-0.3 ms and a word 0.02-0.06 ms, and 4 picks the faster route for
-# every one of them (walk: 256 words against 793 units, 15 ms against 40 ms;
-# lattice: 2048 words against 186 units, 44 ms against 86 ms).
+# 2-vCPU x86-64 machine, GF(2) rows packed: both routes timed (median of up
+# to 41 calls) on each of the 28 distinct codes that perfbench's certify
+# workload certifies with seed 1 (GF(2), GF(3), GF(4), GF(256); 2^5 to 2^16
+# words).  4 picks the faster route for every one of them; any ratio in
+# (0.35, 6.75] would.  The walk wins below: 256 words against 793 units,
+# 3.1 ms against 20 ms, and 32 words against 92 units, 0.14 ms against
+# 1.8 ms.  The lattice wins above: 2048 words against 186 units, 2.7 ms
+# against 3.9 ms (the GF(2) 5x5 Gabidulin code), and 27 words against 4
+# units over GF(3), 0.09 ms against 0.21 ms.
 _WORDS_PER_UNIT = 4
 
 
@@ -257,20 +303,25 @@ def _lattice_units(profile: Profile, cap: int) -> int:
     return sum(layers[1:cap])
 
 
-def _constraint_rows(code: LinearCode, block: int, prows):
-    """Coefficient rows of the conditions p . X[:, b] = 0 on block `block`
-    of X = sum_g c_g G_g, one per p in `prows` and column b, lazily.
+def _constraints(code: LinearCode, block: int, ops):
+    """The map from `prows`, rows of F^n_block, to the coefficient rows (as
+    `ops` rows) of the conditions p . X[:, b] = 0 on block `block` of
+    X = sum_g c_g G_g, one per p in `prows` and column b, lazily.
 
     The words that meet them are those whose column space in the block lies
-    in the orthogonal complement of span(prows).
+    in the orthogonal complement of span(prows).  The block's entries are
+    read across the basis once, for every `prows` asked of the map.
     """
     pos, n, m = code.profile.slices[block]
+    k, pack, combine = code.k, ops.pack, ops.combine
     # cols[b][i]: entry (i, b) of the block, read across the basis
-    cols = [[[vec[pos + i * m + b] for vec in code._flat] for i in range(n)]
-            for b in range(m)]
-    for prow in prows:
-        for b in range(m):
-            yield linear_combination(prow, cols[b], code.k, code.field)
+    cols = [[pack([vec[pos + i * m + b] for vec in code._flat])
+             for i in range(n)] for b in range(m)]
+
+    def rows(prows):
+        return (combine(prow, col, k) for prow in prows for col in cols)
+
+    return rows
 
 
 def _lattice_distance(code: LinearCode, cap: int, units: int,
@@ -281,20 +332,22 @@ def _lattice_distance(code: LinearCode, cap: int, units: int,
     F = code.field
     k = code.k
     ns = code.profile.ns
+    ops = _row_ops(F)
+    blocks = {}
     spaces = {}
 
     def choices(i, e):
         # the distinct constraint spaces of rank < k of block i over the
-        # e-dimensional P, in RREF; a rank-k space leaves no word, so it
-        # is dropped
+        # e-dimensional P, by their RREF; a rank-k space leaves no word, so
+        # it is dropped
         if (i, e) not in spaces:
+            if i not in blocks:
+                blocks[i] = _constraints(code, i, ops)
             seen = {}
             for perp in enumerate_subspaces(ns[i], e, F, override):
-                echelon = _extend([], _constraint_rows(code, i, perp.basis),
-                                  k, F)
+                echelon = ops.extend([], blocks[i](perp.basis), k)
                 if len(echelon) < k:
-                    rows = _rref_rows([r for _, r in echelon], F)[0]
-                    seen[tuple(tuple(r) for r in rows)] = None
+                    seen[ops.reduced(echelon)] = None
             spaces[(i, e)] = list(seen)
         return spaces[(i, e)]
 
@@ -302,19 +355,21 @@ def _lattice_distance(code: LinearCode, cap: int, units: int,
         for dv in _dim_vectors(ns, w):
             picks = sorted((choices(i, n - s) for i, (n, s) in
                             enumerate(zip(ns, dv))), key=len)
-            if any(r < k for r, _ in _tuple_ranks(picks, 0, [], k, F)):
+            if any(r < k for r, _ in _tuple_ranks(picks, 0, [], k,
+                                                  ops.extend)):
                 return w
     return cap
 
 
-def _tuple_ranks(picks, depth, echelon, k, F):
+def _tuple_ranks(picks, depth, echelon, k, extend):
     """Yield (rank, leaves) over the choices of one row space per block
     from `depth` on, in itertools.product order: the rank of `echelon` plus
     the chosen rows, and how many consecutive choices share it.
 
     Depth-first over the blocks with incremental elimination, so each
-    choice costs one insert; a branch whose rank reaches k is not descended
-    and yields (k, its number of choices) once.
+    choice costs one `extend` (the semi-echelon insert of the rows'
+    representation, see `matq._row_ops`); a branch whose rank reaches k is
+    not descended and yields (k, its number of choices) once.
     """
     if depth == len(picks):
         yield len(echelon), 1
@@ -322,9 +377,9 @@ def _tuple_ranks(picks, depth, echelon, k, F):
     mark = len(echelon)
     below = prod(len(p) for p in picks[depth + 1:])
     for rows in picks[depth]:
-        _extend(echelon, rows, k, F)
+        extend(echelon, rows, k)
         if len(echelon) < k:
-            yield from _tuple_ranks(picks, depth + 1, echelon, k, F)
+            yield from _tuple_ranks(picks, depth + 1, echelon, k, extend)
         else:
             yield k, below
         del echelon[mark:]
@@ -346,9 +401,10 @@ def shorten(code: LinearCode, u: SubspaceTuple) -> LinearCode:
     """Subcode of words whose support lies in u, via linear constraints."""
     if u.profile != code.profile:
         raise ProfileMismatch("subspace tuple lives in a different profile")
+    ops = _field_rows(code.field)
     cons = [row for i, part in enumerate(u.parts)
-            for row in _constraint_rows(code, i,
-                                        orthogonal_complement(part).basis)]
+            for row in _constraints(code, i, ops)(
+                orthogonal_complement(part).basis)]
     return _subcode(code, cons, code.profile, range(code.profile.dim))
 
 

@@ -20,6 +20,12 @@ enumeration guard counts q^k words for the walk and the |L| * sum |L_i|
 contractions of the inversion for the lattice route, and the other route
 runs when only it fits (`guard.walk_runs`).
 
+The lattice route ranks its constraint rows (`code._constraints`) in the
+representation `matq._row_ops` picks: over GF(2), packed ints reduced by
+the XOR insert `matq._extend_bits`.  The walk keeps rows of field codes,
+since it needs each block's canonical column space, and counts words by
+the tuple of those RREF bases.
+
 Every lattice kernel reads one subspace table per distinct n, built per
 call (`_subspace_table`): the subspaces of GF(q)^n in `all_subspaces`
 order, their dimensions, the position of each one's orthogonal complement
@@ -46,7 +52,7 @@ from .ambient import (
 )
 from .code import (
     LinearCode,
-    _constraint_rows,
+    _constraints,
     _iter_flat_words,
     _tuple_ranks,
 )
@@ -60,7 +66,7 @@ from .errors import (
 from .guard import check_enum, check_keys, walk_runs
 from .matq import (
     Subspace,
-    _extend,
+    _row_ops,
     _rref_rows,
     all_subspaces,
     gaussian_binomial,
@@ -138,16 +144,19 @@ def brute_distributions(code: LinearCode, override=False):
 
 # One subspace tuple of the lattice route (its shortening ranked, its share
 # of the inversion) costs about as much as walking this many codewords.
-# Measured with CPython 3.11 on a 2-vCPU x86-64 machine.  On the 20 codes
-# that perfbench's spectrum workload takes with seed 1 (10 codes and their
-# duals over GF(2), GF(3), GF(4); 4 to 6561 words, 8 to 125 tuples), 2 picks
-# the faster route for 19; the 20th is a near tie that it walks (GF(4), 16
-# words against 49 tuples: 0.50 ms against 0.45 ms).  On 27 seeded codes
-# with larger blocks (one 5x5 or 4x4 block, two 3x3 blocks; GF(2) to GF(4)),
-# where ranking each block's shortenings dominates, 2 keeps the worst
-# slowdown against the faster route at 2.2x (GF(2) 5x5, k = 10: walk 32 ms,
-# lattice 71 ms), the least of W = 0.5, 1, 2, 3, 4, 6, 8; catching the near
-# tie would need W <= 0.33, which slows such codes by up to 7x.
+# Measured with CPython 3.11 on a 2-vCPU x86-64 machine, GF(2) rows packed,
+# each route's median over up to 41 calls.  On the 20 codes that
+# perfbench's spectrum workload takes with seed 1 (10 codes and their duals
+# over GF(2), GF(3), GF(4); 4 to 6561 words, 8 to 125 tuples), 2 picks the
+# faster route for all 20; any ratio in (0.33, 3.38] would (walk: GF(4), 16
+# words against 49 tuples, 0.40 ms against 0.42 ms; lattice: GF(3), 27
+# words against 8 tuples, 0.17 ms against 0.57 ms).  On 45 seeded codes
+# with larger blocks (one 5x5 or 4x4 block, or two 3x3 blocks; GF(2) to
+# GF(4); q^k from |L|/10 to 12|L|), 2 keeps the worst slowdown against the
+# faster route least among W = 0.5, 1, 2, 3, 4, 6, 8: 7.8x (GF(3) 5x5,
+# k = 8: walk 0.18 s, lattice 1.4 s), where the inversion's |L|^2
+# contractions on one large block outgrow the |L| of this rule; 4.0x over
+# the 21 GF(2) codes (two 3x3 blocks, k = 8: walk 7.4 ms, lattice 1.9 ms).
 _WORDS_PER_TUPLE = 2
 
 
@@ -159,21 +168,27 @@ def _lattice_sizes(profile: Profile):
 
 
 def _walk_supports(code: LinearCode, override=False):
-    """Support counts by ranking every block of every codeword."""
+    """Support counts by ranking every block of every codeword.
+
+    Words are counted by the tuple of their blocks' RREF column-space
+    bases, and each distinct support becomes a `SubspaceTuple` once, at
+    the end.
+    """
     profile = code.profile
     F = code.field
     slices = profile.slices
     counts = {}
     for _, vec in _iter_flat_words(code, override):
-        parts = []
-        for pos, n, m in slices:
-            cols = [[vec[pos + i * m + b] for i in range(n)] for b in range(m)]
-            rows = _rref_rows(cols, F)[0]
-            parts.append(Subspace(F, n, rows, canonical=True))
-        u = SubspaceTuple(profile, parts, check=False)
-        counts[u] = counts.get(u, 0) + 1
+        key = tuple(
+            tuple(map(tuple, _rref_rows(
+                [vec[pos + b:pos + n * m:m] for b in range(m)], F)[0]))
+            for pos, n, m in slices)
+        counts[key] = counts.get(key, 0) + 1
         check_keys(len(counts))
-    return counts
+    return {SubspaceTuple(profile, [
+        Subspace(F, n, basis, canonical=True)
+        for n, basis in zip(profile.ns, key)], check=False): c
+        for key, c in counts.items()}
 
 
 def _lattice_supports(code: LinearCode, override=False):
@@ -187,18 +202,16 @@ def _lattice_supports(code: LinearCode, override=False):
     tables = _lattice_tables(profile, override)
     F = code.field
     q, k = F.q, code.k
+    ops = _row_ops(F)
     picks = []
     for i, n in enumerate(profile.ns):
         table = tables[n]
-        block = []
-        for p in table.perps:
-            echelon = _extend(
-                [], _constraint_rows(code, i, table.subspaces[p].basis), k, F)
-            block.append([row for _, row in echelon])
-        picks.append(block)
+        rows = _constraints(code, i, ops)
+        picks.append([[row for _, row in ops.extend(
+            [], rows(table.subspaces[p].basis), k)] for p in table.perps])
     powers = [q ** e for e in range(k + 1)]
     g = []
-    for r, leaves in _tuple_ranks(picks, 0, [], k, F):
+    for r, leaves in _tuple_ranks(picks, 0, [], k, ops.extend):
         g += [powers[k - r]] * leaves
     kernels = {n: _mobius_kernel(table) for n, table in tables.items()}
     values = _product_transform(g, [tables[n].subspaces for n in profile.ns],

@@ -163,14 +163,32 @@ def _pgcd(a, b, p):
     return a
 
 
+def _has_root(f, p):
+    """Whether f vanishes at some element of GF(p), by Horner at each."""
+    for a in range(p):
+        acc = 0
+        for c in reversed(f):
+            acc = (acc * a + c) % p
+        if not acc:
+            return True
+    return False
+
+
 def is_irreducible(coeffs, p) -> bool:
-    """Rabin's test for a monic polynomial over GF(p)."""
+    """Rabin's test for a monic polynomial over GF(p).
+
+    A polynomial of degree >= 2 with a root in GF(p) has a linear factor,
+    so it is rejected before the test: an exact filter that spares the
+    Conway searches most of their candidates.
+    """
     f = _trim(coeffs)
     k = len(f) - 1
     if k < 1 or f[-1] != 1:
         return False
     if k == 1:
         return True
+    if _has_root(f, p):
+        return False
     x = (0, 1)
     if _ppowmod(x, p ** k, f, p) != _pmod(x, f, p):
         return False

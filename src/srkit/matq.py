@@ -5,14 +5,22 @@ unique canonical representative; that makes them usable as dictionary keys
 for support distributions.
 
 One row reducer does every elimination: the semi-echelon insert `_extend`,
-where ranks stop, and `_rref_rows`, which sorts its basis by pivot and
-back-substitutes with `_reduce`.
+where ranks stop, and `_reduced`, which sorts such a basis by pivot and
+back-substitutes with `_reduce`; `_rref_rows` is the two in turn.
+
+Kernels that only rank rows (the lattice constraint spaces of `code` and
+`distributions`, and the walk's block rank) take their rows from `_row_ops`,
+the one place a row representation is chosen.  Over GF(2) a row is one int,
+entry j at bit j, and `_extend_bits` is the XOR twin of `_extend`: the packed
+semi-echelon insert of M4RI-style elimination, keyed by each row's lowest set
+bit.  Every other field keeps rows as lists of codes (`_field_rows`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
+from typing import Callable, NamedTuple
 
 from .errors import AmbientMismatch, SrkitError
 from .field import Field
@@ -106,15 +114,97 @@ def _extend(echelon, rows, k, F):
     return echelon
 
 
-def _rref_rows(rows, F):
-    """RREF of `rows` as (nonzero rows, pivots): the semi-echelon basis
-    sorted by pivot, each row cleared at the later pivots bottom-up."""
-    width = len(rows[0]) if rows else 0
-    echelon = sorted(_extend([], rows, min(len(rows), width), F))
+def _reduced(echelon, F):
+    """RREF of a semi-echelon basis as (rows, pivots): sorted by pivot, each
+    row cleared at the later pivots bottom-up."""
+    echelon = sorted(echelon)
     for i in range(len(echelon) - 2, -1, -1):
         c, row = echelon[i]
         echelon[i] = c, _reduce(echelon[i + 1:], row, F)
     return [row for _, row in echelon], [c for c, _ in echelon]
+
+
+def _rref_rows(rows, F):
+    """RREF of `rows` as (nonzero rows, pivots)."""
+    width = len(rows[0]) if rows else 0
+    return _reduced(_extend([], rows, min(len(rows), width), F), F)
+
+
+def _pack_bits(row):
+    """A row of GF(2) codes as one int, entry j at bit j."""
+    return sum(1 << j for j, x in enumerate(row) if x)
+
+
+def _extend_bits(echelon, rows, k):
+    """`_extend` over GF(2) on packed rows: each row is cleared by XOR at the
+    earlier pivots and kept, keyed by its lowest set bit, unless it is zero;
+    insertion stops at rank k."""
+    for v in rows:
+        if len(echelon) == k:
+            break
+        for lead, row in echelon:
+            if v & lead:
+                v ^= row
+        if v:
+            echelon.append((v & -v, v))
+    return echelon
+
+
+def _reduced_bits(echelon):
+    """RREF of a packed semi-echelon basis, rows by ascending pivot: from
+    the last pivot down, each row is cleared at the later rows' pivots."""
+    out = []
+    for lead, v in sorted(echelon, reverse=True):
+        for later, row in out:
+            if v & later:
+                v ^= row
+        out.append((lead, v))
+    return tuple(v for _, v in reversed(out))
+
+
+def _combine_bits(coeffs, rows, width):
+    """sum_g coeffs[g] * rows[g] over GF(2) on packed rows: one XOR each."""
+    out = 0
+    for c, row in zip(coeffs, rows):
+        if c:
+            out ^= row
+    return out
+
+
+class _RowOps(NamedTuple):
+    """Rows of F^width for kernels that only rank them.
+
+    pack(codes) is a row; combine(coeffs, rows, width) is
+    sum_g coeffs[g] * rows[g]; extend(echelon, rows, k) is the semi-echelon
+    insert, (pivot, row) pairs that `del echelon[mark:]` rolls back;
+    reduced(echelon) is the RREF as a hashable tuple of rows, the canonical
+    form of the span; packed tells whether a row is one int.
+    """
+    pack: Callable
+    combine: Callable
+    extend: Callable
+    reduced: Callable
+    packed: bool
+
+
+_BITS = _RowOps(_pack_bits, _combine_bits, _extend_bits, _reduced_bits, True)
+
+
+def _field_rows(F):
+    """Rows as lists of field codes, for any F; the kernels that build new
+    codes from their rows (`code.shorten`) always take these."""
+    return _RowOps(
+        list,
+        lambda coeffs, rows, width: linear_combination(coeffs, rows, width, F),
+        lambda echelon, rows, k: _extend(echelon, rows, k, F),
+        lambda echelon: tuple(map(tuple, _reduced(echelon, F)[0])),
+        False)
+
+
+def _row_ops(F):
+    """The row representation of every rank-only kernel over F, chosen here
+    and nowhere else: packed ints over GF(2), code lists otherwise."""
+    return _BITS if F.q == 2 else _field_rows(F)
 
 
 def linear_combination(coeffs, rows, width, F):
@@ -147,7 +237,7 @@ def rank(m: Mat) -> int:
 class Subspace:
     """A subspace of GF(q)^n, stored by its canonical RREF basis."""
 
-    __slots__ = ("field", "ambient_dim", "basis")
+    __slots__ = ("field", "ambient_dim", "basis", "_hash")
 
     def __init__(self, field, ambient_dim, basis_rows, *, canonical=False):
         self.field = field
@@ -157,6 +247,9 @@ class Subspace:
         else:
             rows, _ = _rref_rows(list(basis_rows), field)
             self.basis = tuple(tuple(r) for r in rows)
+        # set once: a Subspace is never mutated, and the lattice transforms
+        # hash the same ones over and over
+        self._hash = hash((field.q, ambient_dim, self.basis))
 
     @property
     def dim(self):
@@ -186,7 +279,7 @@ class Subspace:
                 and self.basis == other.basis)
 
     def __hash__(self):
-        return hash((self.field.q, self.ambient_dim, self.basis))
+        return self._hash
 
     def __repr__(self):
         if not self.basis:

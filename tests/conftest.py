@@ -6,10 +6,12 @@ check (tiny local eliminations, direct enumeration).
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from srkit.ambient import MatrixTuple, profile_create
 from srkit.code import code_create, unflatten
@@ -101,6 +103,25 @@ def random_code(rng: random.Random, field, blocks, k):
     gens = [unflatten(p, [rng.randrange(field.q) for _ in range(p.dim)])
             for _ in range(k)]
     return code_create(p, gens)
+
+
+@st.composite
+def gf2_codes(draw):
+    """A random GF(2) code of dimension k <= 10: a first block of up to
+    5x5 and up to two more blocks of up to 3 rows and 5 columns."""
+    rows = draw(st.integers(1, 5))
+    blocks = [(rows, draw(st.integers(rows, 5)))]
+    for _ in range(draw(st.integers(0, 2))):
+        n = draw(st.integers(1, 3))
+        blocks.append((n, draw(st.integers(n, 5))))
+    dim = sum(n * m for n, m in blocks)
+    top = min(10, dim)
+    k = draw(st.integers(1, top).map(lambda x: top + 1 - x))  # k near top
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    while True:
+        C = random_code(rng, field_create(2), blocks, k)
+        if C.k == k:
+            return C
 
 
 def random_subspace_tuple(rng: random.Random, profile):
@@ -328,6 +349,23 @@ def oracle_is_prime(n):
         if n % f == 0:
             return False
         f += 1
+    return True
+
+
+def oracle_is_irreducible(coeffs, p):
+    """Whether a monic polynomial over GF(p) (coefficients lowest degree
+    first) of degree >= 1 has no monic factor of degree 1..k//2: long
+    division by every one of them."""
+    k = len(coeffs) - 1
+    for d in range(1, k // 2 + 1):
+        for low in itertools.product(range(p), repeat=d):
+            rest = list(coeffs)
+            for i in range(k, d - 1, -1):
+                c = rest[i]
+                for j, g in enumerate(low + (1,)):
+                    rest[i - d + j] = (rest[i - d + j] - c * g) % p
+            if not any(rest[:d]):
+                return False
     return True
 
 

@@ -1,13 +1,16 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    gf2_codes,
     msrd_d4_gf3_code,
     msrd_d6_code,
     oracle_combination,
+    oracle_rank_gf2,
     oracle_derived,
     oracle_min_distance,
     oracle_rank,
@@ -21,6 +24,7 @@ from srkit.ambient import (
     MatrixTuple,
     SubspaceTuple,
     enumerate_lattice,
+    flatten,
     profile_create,
     support,
     sumrank_weight,
@@ -29,8 +33,10 @@ from srkit.ambient import (
 import srkit.code as code_mod
 from srkit.code import (
     MsrdWitness,
+    _field_weights,
     _lattice_distance,
     _lattice_units,
+    _packed_weights,
     _singleton_cap,
     _walk_distance,
     _WORDS_PER_UNIT,
@@ -58,7 +64,7 @@ from srkit.errors import (
     TrivialCode,
 )
 from srkit.field import field_create
-from srkit.matq import Mat, Subspace
+from srkit.matq import Mat, Subspace, _row_ops
 
 F2 = field_create(2)
 F3 = field_create(3)
@@ -189,6 +195,50 @@ def _routes_agree(C):
     assert brute <= cap
     lattice = _lattice_distance(C, cap, _lattice_units(C.profile, cap))
     assert lattice == _walk_distance(C) == minimum_distance(C) == brute
+
+
+class TestPackedWalk:
+    """The GF(2) routes on packed rows against the oracles in tests/."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(gf2_codes())
+    def test_both_routes_match_the_oracle(self, C):
+        cap = _singleton_cap(C.profile, C.k)
+        brute = oracle_min_distance(C)
+        assert _walk_distance(C) == brute
+        assert _lattice_distance(C, cap, _lattice_units(C.profile, cap),
+                                 override=True) == brute
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(gf2_codes())
+    def test_packed_weights_follow_the_word_order(self, C):
+        # the packed walk visits the words of `codewords` in their order
+        words = [flatten(w) for w in codewords(C)]
+        weights = [sum(oracle_rank_gf2([vec[pos + a * m:pos + (a + 1) * m]
+                                        for a in range(n)])
+                       for pos, n, m in C.profile.slices)
+                   for vec in words[1:]]
+        ops = _row_ops(F2)
+        assert list(_packed_weights(C, ops)) == weights
+        assert list(_field_weights(C)) == weights
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(gf2_codes())
+    def test_codewords_keep_the_lexicographic_order(self, C):
+        expect = [oracle_combination(c, C._flat, 2)
+                  for c in product(range(2), repeat=C.k)]
+        assert [flatten(w) for w in codewords(C)] == expect
+
+    def test_packed_walk_is_guarded(self, monkeypatch):
+        C = random_code(random.Random(3), F2, [(2, 2), (1, 2)], 4)
+        expect = oracle_min_distance(C)
+        assert C.size() == 16
+        monkeypatch.setenv("SRKIT_MAX_ENUM", "15")
+        with pytest.raises(TooLarge, match="codeword enumeration of size 16"):
+            _walk_distance(C)
+        assert _walk_distance(C, override=True) == expect
+        monkeypatch.setenv("SRKIT_MAX_ENUM", "16")
+        assert _walk_distance(C) == expect
 
 
 class TestDistanceRoutes:

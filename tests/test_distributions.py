@@ -2,9 +2,13 @@ import random
 from math import comb, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import srkit.guard as guard_mod
 from conftest import (
     dual_distribution_pair,
+    gf2_codes,
     msrd_d6_code,
     oracle_supports,
     random_code,
@@ -125,6 +129,27 @@ class TestRoutes:
             assert rld.counts == supd.ranklist().counts
             assert srd == rld.sumrank()
             assert sum(srd.counts) == C.size()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(gf2_codes())
+    def test_packed_lattice_route_matches_the_walk(self, C):
+        # GF(2) shortenings are ranked on packed rows; a lattice of at most
+        # 2,000 tuples keeps the inversion quick
+        if prod(_lattice_sizes(C.profile)) > 2000:
+            return
+        expect = oracle_supports(C)
+        lattice = _lattice_supports(C)
+        assert lattice == _walk_supports(C)
+        assert _by_bases(lattice) == expect
+
+    def test_walk_key_guard_counts_distinct_supports(self, monkeypatch):
+        C = random_code(random.Random(5), F2, [(2, 3), (1, 2)], 5)
+        keys = len(oracle_supports(C))
+        monkeypatch.setattr(guard_mod, "MAX_DISTRIBUTION_KEYS", keys - 1)
+        with pytest.raises(TooLarge, match=f"would hold {keys} keys"):
+            _walk_supports(C)
+        monkeypatch.setattr(guard_mod, "MAX_DISTRIBUTION_KEYS", keys)
+        assert _by_bases(_walk_supports(C)) == oracle_supports(C)
 
     @pytest.mark.parametrize("F,blocks,k", [
         (F2, [(2, 3), (1, 2), (1, 1)], 5),  # |L| = 20: 32 < 40 <= 64

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_add, oracle_is_prime, oracle_mul
+from itertools import product
+
+from conftest import (
+    oracle_add,
+    oracle_is_irreducible,
+    oracle_is_prime,
+    oracle_mul,
+)
 from srkit.errors import (
     BadParameters,
     DegreeMismatch,
@@ -284,6 +291,25 @@ def test_is_irreducible_oracle_agreement():
                          for f in range(2, 1 << (k // 2 + 1))
                          if f.bit_length() >= 2)
         assert is_irreducible(coeffs, 2) == (not has_factor), bin(value)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_is_irreducible_matches_trial_division(p):
+    # every monic polynomial of degree 1..4; those of degree 2..3 with no
+    # root are the irreducible ones, so the root filter decides them alone
+    for k in range(1, 5):
+        for low in product(range(p), repeat=k):
+            f = low + (1,)
+            assert is_irreducible(f, p) == oracle_is_irreducible(f, p), f
+
+
+def test_odd_conway_polynomials_unchanged():
+    # the root filter is exact: the search finds the polynomials that
+    # Rabin's test alone finds
+    assert conway_polynomial(3, 10) == (2, 1, 0, 0, 2, 2, 2, 0, 0, 0, 1)
+    assert conway_polynomial(3, 8) == (2, 2, 2, 0, 1, 2, 0, 0, 1)
+    assert conway_polynomial(5, 6) == (2, 0, 1, 4, 1, 0, 1)
+    assert conway_polynomial(7, 4) == (3, 4, 5, 0, 1)
 
 
 def test_text_form():

@@ -4,14 +4,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_combination, oracle_rank, oracle_rref
+from conftest import (
+    oracle_combination,
+    oracle_rank,
+    oracle_rank_gf2,
+    oracle_rref,
+)
 from srkit.code import _srk_of_flat
 from srkit.errors import AmbientMismatch
 from srkit.field import field_create
 from srkit.matq import (
     Mat,
     Subspace,
+    _combine_bits,
     _extend,
+    _extend_bits,
+    _field_rows,
+    _pack_bits,
+    _reduced_bits,
+    _row_ops,
     colspace,
     enumerate_subspaces,
     gaussian_binomial,
@@ -98,6 +109,71 @@ def test_row_reduction_matches_oracles(case, data):
 
     k = data.draw(st.integers(0, len(rows)))
     assert len(_extend([], rows, k, F)) == min(k, rk)
+
+
+def _unpack(row, width):
+    return tuple(row >> j & 1 for j in range(width))
+
+
+@st.composite
+def gf2_rows(draw):
+    """(width, rows): up to 10 rows over GF(2) of width up to 25, the
+    entries of a 5x5 block, with zero and repeated rows."""
+    width = draw(st.integers(1, 25))
+    row = st.lists(st.integers(0, 1), min_size=width, max_size=width)
+    rows = draw(st.lists(st.one_of(row, st.just([0] * width)), max_size=10))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=10 - len(rows)))
+    return width, rows
+
+
+class TestPackedRows:
+    """The GF(2) packed insert against the bitmask and RREF oracles."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(gf2_rows(), st.data())
+    def test_insert_matches_oracles(self, case, data):
+        width, rows = case
+        packed = [_pack_bits(r) for r in rows]
+        assert [_unpack(v, width) for v in packed] == [tuple(r) for r in rows]
+        rk = oracle_rank_gf2(rows)
+        k = data.draw(st.integers(0, 10))
+        assert len(_extend_bits([], packed, k)) == min(k, rk)
+
+        # the contract of `_extend`: each row holds its pivot, its lowest
+        # set bit, and is clear at every earlier pivot
+        echelon = _extend_bits([], packed, width)
+        for i, (lead, row) in enumerate(echelon):
+            assert lead == row & -row
+            assert not any(row & earlier for earlier, _ in echelon[:i])
+        assert tuple(_unpack(v, width) for v in _reduced_bits(echelon)) == \
+            oracle_rref(rows, 2)
+
+        # rows inserted past a mark are rolled back by truncation
+        cut = data.draw(st.integers(0, len(rows)))
+        echelon = _extend_bits([], packed[:cut], width)
+        before = list(echelon)
+        _extend_bits(echelon, packed[cut:], width)
+        del echelon[len(before):]
+        assert echelon == before
+
+        coeffs = data.draw(st.lists(st.integers(0, 1), min_size=len(rows),
+                                    max_size=len(rows)))
+        if rows:
+            assert _unpack(_combine_bits(coeffs, packed, width), width) == \
+                tuple(oracle_combination(coeffs, rows, 2))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(matrices())
+    def test_field_rows_reduce_to_the_rref(self, case):
+        F, width, rows = case
+        ops = _field_rows(F)
+        assert ops.reduced(ops.extend([], rows, width)) == oracle_rref(rows, F.q)
+
+    def test_only_gf2_is_packed(self):
+        assert _row_ops(F2).packed
+        assert not _row_ops(F3).packed and not _row_ops(F4).packed
+        assert not _field_rows(F2).packed
 
 
 S2 = Subspace(F2, 2, [(1, 0)])
