@@ -2,8 +2,13 @@
 
 A code is stored by the canonical RREF basis of its flattened generator
 matrix (block-major, row-major within each block), so two equal codes have
-equal bases.  Codeword enumeration is lexicographic over coefficient
-vectors and incremental, touching one basis row per step on average.
+equal bases.
+
+One walk, `_words`, lists the codewords of every field, lexicographic over
+coefficient vectors: a base-p counter over the code's k*e generators over
+GF(p) (q = p^e) that adds one precomputed word per step.  A word is its N
+block rows, so `codewords`, the distance walk (`_walk_distance`) and the
+support walk of `distributions` read one stream.
 
 The minimum distance has two exact routes, picked per call by a cost known
 before either starts (see `minimum_distance`):
@@ -24,13 +29,11 @@ cost; the other route runs when only it fits the enumeration guard
 subspace tuple with the same helper and the same depth-first walk over the
 blocks (`_tuple_ranks`).
 
-Both routes rank rows in the representation `matq._row_ops` picks for the
-field.  Over GF(2) a row is one int and ranks come from the packed insert
-`matq._extend_bits`: the constraint rows are XORs of per-entry bitmasks over
-the basis, and the walk keeps each word as one int, XORs basis rows as the
-base-2 counter steps and ranks each block's bit slices (`_packed_weights`).
-`shorten` and `_subcode` build new codes, so they keep rows of field codes,
-as do `_iter_flat_words` and `codewords`.
+Both routes rank rows in the representation `matq._row_ops` picks: over
+GF(2) a row is one int, ranked by the packed insert `matq._extend_bits`,
+and each constraint row is an XOR of per-entry bitmasks over the basis.
+`shorten`, `_subcode` and `codewords` read rows back as codes, so they take
+rows of field codes (`matq._field_rows`).
 
 Every derived code comes from one primitive, `_subcode`: keep the words whose
 coefficient vectors meet some constraint rows over F^k, then read them at
@@ -42,6 +45,7 @@ mixed-m distance-2 intersection of `constructions.construct_d2` all use it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import prod
 
 from .ambient import (
@@ -63,7 +67,6 @@ from .errors import (
 from .guard import check_enum, walk_runs
 from .matq import (
     Mat,
-    _extend,
     _field_rows,
     _row_ops,
     _rref_rows,
@@ -139,61 +142,55 @@ def zero_code(profile: Profile) -> LinearCode:
 # codeword enumeration
 # ---------------------------------------------------------------------------
 
-def _iter_flat_words(code: LinearCode, override=False):
-    """Yield flattened codewords in lexicographic coefficient order.
+def _words(code: LinearCode, ops, override=False):
+    """Every codeword as its N block rows in the `ops` representation
+    (`matq._row_ops`), in lexicographic coefficient order; each is a new
+    list.
 
-    The working vector is updated in place: incrementing the base-q counter
-    changes a suffix of digits, and each digit change adds (new-old) times
-    one basis row.  Callers must not mutate the yielded list.
+    GF(q) = GF(p)^e, so the code is spanned over GF(p) by the k*e words
+    b_P = x^(P mod e) g_(k-1-P//e), and that order is a base-p counter over
+    them, place P worth p^P (x^t has code p^t).  The step to a count whose
+    lowest nonzero digit is at place P raises that digit by one and turns
+    every lower digit from p-1 to 0, adding -(p-1) = 1 times each lower
+    b, so the word gains S_P = b_0 + ... + b_P: one precomputed word per
+    step.  Over GF(2) that is an XOR of a suffix sum of the basis rows.
     """
     check_enum(code.size(), override, what="codeword enumeration")
     F = code.field
-    q = F.q
-    k = code.k
-    D = code.profile.dim
-    cur = [0] * D
-    yield (0,) * k, cur
-    if k == 0:
-        return
-    digits = [0] * k
-    rows = code._flat
-    add, sub, mul = F.add, F.sub, F.mul
-    while True:
-        i = k - 1
-        while i >= 0 and digits[i] == q - 1:
-            i -= 1
-        if i < 0:
-            return
-        changed = []
-        changed.append((i, digits[i], digits[i] + 1))
-        digits[i] += 1
-        for j in range(i + 1, k):
-            changed.append((j, q - 1, 0))
-            digits[j] = 0
-        for j, old, new in changed:
-            delta = sub(new, old)
-            if delta:
-                row = rows[j]
-                for pos in range(D):
-                    rv = row[pos]
-                    if rv:
-                        cur[pos] = add(cur[pos], mul(delta, rv))
-        yield tuple(digits), cur
+    p, D = F.p, code.profile.dim
+    cuts = [(pos + a * m, pos + (a + 1) * m)
+            for pos, n, m in code.profile.slices for a in range(n)]
+    steps = []
+    total = [0] * D
+    for g in reversed(code._flat):
+        for t in range(F.k):
+            total = linear_combination((1, p ** t), (total, g), D, F)
+            steps.append([ops.pack(total[a:b]) for a, b in cuts])
+    add = ops.add
+    word = [ops.pack([0] * (b - a)) for a, b in cuts]
+    yield word
+    for c in range(1, code.size()):
+        place = 0
+        while not c % p:
+            c //= p
+            place += 1
+        word = list(map(add, word, steps[place]))
+        yield word
+
+
+def _row_spans(profile: Profile):
+    """(first row, end row) of each block in a word of `_words`."""
+    ends = list(accumulate(profile.ns))
+    return list(zip([0] + ends, ends))
 
 
 def codewords(code: LinearCode, override=False):
     """All q^k codewords as MatrixTuples, deterministic order."""
-    for _, vec in _iter_flat_words(code, override):
-        yield unflatten(code.profile, vec)
-
-
-def _srk_of_flat(vec, slices, F):
-    """Sum-rank weight of a flat word: block ranks by forward elimination."""
-    total = 0
-    for pos, n, m in slices:
-        rows = [vec[pos + i * m: pos + (i + 1) * m] for i in range(n)]
-        total += len(_extend([], rows, min(n, m), F))
-    return total
+    profile, F = code.profile, code.field
+    spans = _row_spans(profile)
+    for word in _words(code, _field_rows(F), override):
+        yield MatrixTuple(profile, [Mat(F, word[a:b]) for a, b in spans],
+                          check=False)
 
 
 def minimum_distance(code: LinearCode, override=False) -> int:
@@ -227,12 +224,17 @@ def minimum_distance(code: LinearCode, override=False) -> int:
 
 
 def _walk_distance(code: LinearCode, override=False) -> int:
-    """Least sum-rank weight over the nonzero words, walked in lexicographic
-    coefficient order; weight 1 ends the walk."""
+    """Least sum-rank weight over the nonzero words of `_words`, each block
+    ranked by one semi-echelon insert; weight 1 ends the walk."""
     ops = _row_ops(code.field)
+    extend, spans = ops.extend, _row_spans(code.profile)
+    words = _words(code, ops, override)
+    next(words)  # the zero word
     best = None
-    for w in (_packed_weights(code, ops, override) if ops.packed
-              else _field_weights(code, override)):
+    for word in words:
+        w = 0
+        for a, b in spans:
+            w += len(extend([], word[a:b], b - a))
         if best is None or w < best:
             best = w
             if best == 1:
@@ -240,49 +242,18 @@ def _walk_distance(code: LinearCode, override=False) -> int:
     return best
 
 
-def _field_weights(code: LinearCode, override=False):
-    """Sum-rank weights of the nonzero words, on the `_iter_flat_words`
-    stream."""
-    F = code.field
-    slices = code.profile.slices
-    words = _iter_flat_words(code, override)
-    next(words)  # the zero word
-    for _, vec in words:
-        yield _srk_of_flat(vec, slices, F)
-
-
-def _packed_weights(code: LinearCode, ops, override=False):
-    """`_field_weights` over GF(2) with each word one packed int, in the
-    same order.  The base-2 counter's step at digit i turns it from 0 to 1
-    and every later digit from 1 to 0, so it XORs basis rows i..k-1; block
-    row a of a block at flat position pos is the m bits at pos + a*m."""
-    check_enum(code.size(), override, what="codeword enumeration")
-    k, extend = code.k, ops.extend
-    suffix = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        suffix[i] = suffix[i + 1] ^ ops.pack(code._flat[i])
-    cuts = [((1 << m) - 1, range(pos, pos + n * m, m), min(n, m))
-            for pos, n, m in code.profile.slices]
-    cur = 0
-    for c in range(1, 1 << k):
-        cur ^= suffix[k - (c ^ (c - 1)).bit_length()]
-        w = 0
-        for mask, starts, r in cuts:
-            w += len(extend([], [cur >> s & mask for s in starts], r))
-        yield w
-
-
 # One lattice unit (a subspace tuple whose shortening is ranked) costs about
 # as much as walking this many codewords.  Measured with CPython 3.11 on a
-# 2-vCPU x86-64 machine, GF(2) rows packed: both routes timed (median of up
-# to 41 calls) on each of the 28 distinct codes that perfbench's certify
-# workload certifies with seed 1 (GF(2), GF(3), GF(4), GF(256); 2^5 to 2^16
-# words).  4 picks the faster route for every one of them; any ratio in
-# (0.35, 6.75] would.  The walk wins below: 256 words against 793 units,
-# 3.1 ms against 20 ms, and 32 words against 92 units, 0.14 ms against
-# 1.8 ms.  The lattice wins above: 2048 words against 186 units, 2.7 ms
-# against 3.9 ms (the GF(2) 5x5 Gabidulin code), and 27 words against 4
-# units over GF(3), 0.09 ms against 0.21 ms.
+# 2-vCPU x86-64 machine on the one walk `_words`, GF(2) rows packed: both
+# routes called directly (median of up to 41 calls within 1.5 s of CPU per
+# route) on each of the 28 distinct codes that perfbench's certify workload
+# certifies with seed 1 (GF(2), GF(3), GF(4), GF(256); 2^5 to 2^16 words).
+# 4 picks the faster route for every one of them; any ratio in (0.35, 6.75]
+# would.  The walk wins below: 256 words against 793 units, 2.5 ms against
+# 18 ms, and 32 words against 92 units, 0.25 ms against 1.3 ms.  The
+# lattice wins above: 2048 words against 186 units, 2.8 ms against 5.5 ms
+# (the GF(2) 5x5 Gabidulin code), and 27 words against 4 units over GF(3),
+# 0.06 ms against 0.12 ms.
 _WORDS_PER_UNIT = 4
 
 

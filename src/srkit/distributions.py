@@ -12,19 +12,21 @@ cost known before either starts (see `brute_distributions`):
 - the lattice route ranks shortenings: |C(V)| = q^(k - rank(constraints(V)))
   for every V in L, and the support distribution is its Moebius inversion
   W_U = sum_{V<=U} mu(V, U) |C(V)|, run through the same product kernel
-  with mu_i(v, u) = (-1)^d q^C(d,2), d = dim u - dim v.  Cost: |L|.
+  with mu_i(v, u) = (-1)^d q^C(d,2), d = dim u - dim v.  Cost: |L| ranks
+  and |L| * sum |L_i| contractions.
 - the walk ranks every block of all q^k codewords.
 
-The walk is preferred when q^k is below `_WORDS_PER_TUPLE` times |L|.  The
-enumeration guard counts q^k words for the walk and the |L| * sum |L_i|
-contractions of the inversion for the lattice route, and the other route
-runs when only it fits (`guard.walk_runs`).
+The walk is preferred when q^k is below the lattice route's cost in words:
+one per `_TUPLES_PER_WORD` tuples of L plus one per `_CONTRACTIONS_PER_WORD`
+contractions of the inversion, |L| * sum |L_i| of them.  The enumeration
+guard counts q^k words for the walk and those contractions for the lattice
+route, and the other route runs when only it fits (`guard.walk_runs`).
 
 The lattice route ranks its constraint rows (`code._constraints`) in the
 representation `matq._row_ops` picks: over GF(2), packed ints reduced by
-the XOR insert `matq._extend_bits`.  The walk keeps rows of field codes,
-since it needs each block's canonical column space, and counts words by
-the tuple of those RREF bases.
+the XOR insert `matq._extend_bits`.  The walk reads the one codeword
+stream `code._words` as rows of field codes, since it needs each block's
+canonical column space, and counts words by the tuple of those RREF bases.
 
 Every lattice kernel reads one subspace table per distinct n, built per
 call (`_subspace_table`): the subspaces of GF(q)^n in `all_subspaces`
@@ -53,8 +55,9 @@ from .ambient import (
 from .code import (
     LinearCode,
     _constraints,
-    _iter_flat_words,
+    _row_spans,
     _tuple_ranks,
+    _words,
 )
 from .errors import (
     BadBlock,
@@ -66,6 +69,7 @@ from .errors import (
 from .guard import check_enum, check_keys, walk_runs
 from .matq import (
     Subspace,
+    _field_rows,
     _row_ops,
     _rref_rows,
     all_subspaces,
@@ -121,19 +125,23 @@ def brute_distributions(code: LinearCode, override=False):
 
     - lattice: |C(V)| = q^(k - rank(constraints(V))) for every subspace
       tuple V of L = L_1 x ... x L_t, then W_U = sum_{V<=U} mu(V, U) |C(V)|
-      by Moebius inversion through the product kernel.  Cost: |L|, from
-      q-binomials before anything is listed.
+      by Moebius inversion through the product kernel.  Cost: |L| ranks
+      and |L| * sum |L_i| contractions, from q-binomials before anything
+      is listed.
     - walk: the column spaces of every block of all q^k codewords.
 
-    The walk is preferred when q^k < _WORDS_PER_TUPLE * |L|.  The guard
-    counts q^k words for the walk and the transform's |L| * sum |L_i|
-    contractions for the lattice; the other route runs when only it fits,
-    and the preferred route's TooLarge is raised when neither does.  The
-    rank-list and sum-rank distributions follow from the support one.
+    The walk is preferred when q^k < |L| // _TUPLES_PER_WORD +
+    |L| * sum |L_i| // _CONTRACTIONS_PER_WORD.  The guard counts q^k words
+    for the walk and the contractions for the lattice; the other route runs
+    when only it fits, and the preferred route's TooLarge is raised when
+    neither does.  The rank-list and sum-rank distributions follow from the
+    support one.
     """
     words, sizes = code.size(), _lattice_sizes(code.profile)
-    walk_first = words < _WORDS_PER_TUPLE * prod(sizes)
-    if walk_runs(words, _transform_units(sizes), walk_first, override):
+    units = _transform_units(sizes)
+    walk_first = words < (prod(sizes) // _TUPLES_PER_WORD
+                          + units // _CONTRACTIONS_PER_WORD)
+    if walk_runs(words, units, walk_first, override):
         counts = _walk_supports(code, override)
     else:
         counts = _lattice_supports(code, override)
@@ -142,22 +150,25 @@ def brute_distributions(code: LinearCode, override=False):
     return rld.sumrank(), rld, supd
 
 
-# One subspace tuple of the lattice route (its shortening ranked, its share
-# of the inversion) costs about as much as walking this many codewords.
-# Measured with CPython 3.11 on a 2-vCPU x86-64 machine, GF(2) rows packed,
-# each route's median over up to 41 calls.  On the 20 codes that
-# perfbench's spectrum workload takes with seed 1 (10 codes and their duals
-# over GF(2), GF(3), GF(4); 4 to 6561 words, 8 to 125 tuples), 2 picks the
-# faster route for all 20; any ratio in (0.33, 3.38] would (walk: GF(4), 16
-# words against 49 tuples, 0.40 ms against 0.42 ms; lattice: GF(3), 27
-# words against 8 tuples, 0.17 ms against 0.57 ms).  On 45 seeded codes
-# with larger blocks (one 5x5 or 4x4 block, or two 3x3 blocks; GF(2) to
-# GF(4); q^k from |L|/10 to 12|L|), 2 keeps the worst slowdown against the
-# faster route least among W = 0.5, 1, 2, 3, 4, 6, 8: 7.8x (GF(3) 5x5,
-# k = 8: walk 0.18 s, lattice 1.4 s), where the inversion's |L|^2
-# contractions on one large block outgrow the |L| of this rule; 4.0x over
-# the 21 GF(2) codes (two 3x3 blocks, k = 8: walk 7.4 ms, lattice 1.9 ms).
-_WORDS_PER_TUPLE = 2
+# The lattice route costs about as much as walking one word per
+# _TUPLES_PER_WORD subspace tuples (their shortenings ranked) plus one per
+# _CONTRACTIONS_PER_WORD contractions of the inversion; integers, so a huge
+# lattice needs no float.  Measured with CPython 3.11 on a 2-vCPU x86-64
+# machine, both routes called directly on the one walk `code._words`, on
+# the 20 codes of perfbench's seed-1 spectrum workload (10 codes and their
+# duals over GF(2), GF(3), GF(4); 4 to 6561 words, 8 to 125 tuples; median
+# of up to 41 calls) and on 46 seeded codes with one 5x5 or 4x4 block or
+# two 3x3 blocks over GF(2) to GF(4), every k with q^k from |L|/10 to
+# 12|L| (1 to 3 calls).  (2, 256) picks the faster route on all 20 seed-1
+# codes, as would any 0.3 to 3.3 words per tuple (walk: GF(4), 16 words
+# against 49 tuples, 0.34 against 0.37 ms; lattice: GF(3), 27 words against
+# 8 tuples, 0.11 against 0.31 ms).  Among 1/2 to 4 words per tuple and 0 or
+# 1/32 to 1/1024 per contraction it has the least worst slowdown on the 46:
+# 2.4x (GF(4), two 3x3 blocks, k = 5; 7 codes miss).  The old rule, 2 words
+# per tuple and none per contraction, reached 12.1x (GF(4) 5x5, k = 8: walk
+# 1.7 s, lattice 20 s): the contractions grow as |L|^2 on one block.
+_TUPLES_PER_WORD = 2
+_CONTRACTIONS_PER_WORD = 256
 
 
 def _lattice_sizes(profile: Profile):
@@ -170,19 +181,17 @@ def _lattice_sizes(profile: Profile):
 def _walk_supports(code: LinearCode, override=False):
     """Support counts by ranking every block of every codeword.
 
-    Words are counted by the tuple of their blocks' RREF column-space
-    bases, and each distinct support becomes a `SubspaceTuple` once, at
-    the end.
+    Words come from `code._words` as rows of field codes, and are counted
+    by the tuple of their blocks' RREF column-space bases; each distinct
+    support becomes a `SubspaceTuple` once, at the end.
     """
     profile = code.profile
     F = code.field
-    slices = profile.slices
+    spans = _row_spans(profile)
     counts = {}
-    for _, vec in _iter_flat_words(code, override):
-        key = tuple(
-            tuple(map(tuple, _rref_rows(
-                [vec[pos + b:pos + n * m:m] for b in range(m)], F)[0]))
-            for pos, n, m in slices)
+    for word in _words(code, _field_rows(F), override):
+        key = tuple(tuple(map(tuple, _rref_rows(list(zip(*word[a:b])), F)[0]))
+                    for a, b in spans)
         counts[key] = counts.get(key, 0) + 1
         check_keys(len(counts))
     return {SubspaceTuple(profile, [

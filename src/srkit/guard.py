@@ -9,7 +9,7 @@ variable.  Where a walk and a lattice route give the same result,
 
 import os
 
-from .errors import TooLarge
+from .errors import BadParameters, TooLarge
 
 DEFAULT_MAX_ENUM = 1 << 24       # codeword / tuple enumerations
 SUBSPACE_GUARD = 1 << 28         # subspace streams
@@ -17,8 +17,15 @@ MAX_DISTRIBUTION_KEYS = 10 ** 7  # support-distribution dictionaries
 
 
 def max_enum() -> int:
+    """SRKIT_MAX_ENUM, a non-negative decimal integer, if set and not empty."""
     value = os.environ.get("SRKIT_MAX_ENUM")
-    return int(value) if value else DEFAULT_MAX_ENUM
+    if not value:
+        return DEFAULT_MAX_ENUM
+    if not (value.isascii() and value.isdigit()):
+        raise BadParameters(
+            f"SRKIT_MAX_ENUM must be a non-negative decimal integer, "
+            f"not {value!r}")
+    return int(value)
 
 
 def check_enum(size, override=False, what="enumeration"):

@@ -8,18 +8,21 @@ One row reducer does every elimination: the semi-echelon insert `_extend`,
 where ranks stop, and `_reduced`, which sorts such a basis by pivot and
 back-substitutes with `_reduce`; `_rref_rows` is the two in turn.
 
-Kernels that only rank rows (the lattice constraint spaces of `code` and
-`distributions`, and the walk's block rank) take their rows from `_row_ops`,
-the one place a row representation is chosen.  Over GF(2) a row is one int,
-entry j at bit j, and `_extend_bits` is the XOR twin of `_extend`: the packed
-semi-echelon insert of M4RI-style elimination, keyed by each row's lowest set
-bit.  Every other field keeps rows as lists of codes (`_field_rows`).
+Kernels that only rank or add rows (the lattice constraint spaces of `code`
+and `distributions`, and the codeword walk `code._words` with its block
+rank) take their rows from `_row_ops`, the one place a row representation is
+chosen.  Over GF(2) a row is one int, entry j at bit j, rows add by XOR, and
+`_extend_bits` is the XOR twin of `_extend`: the packed semi-echelon insert
+of M4RI-style elimination, keyed by each row's lowest set bit.  Every other
+field keeps rows as lists of codes (`_field_rows`), as does every kernel
+that reads rows back as codes.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
+from operator import xor
 from typing import Callable, NamedTuple
 
 from .errors import AmbientMismatch, SrkitError
@@ -172,33 +175,34 @@ def _combine_bits(coeffs, rows, width):
 
 
 class _RowOps(NamedTuple):
-    """Rows of F^width for kernels that only rank them.
+    """Rows of F^width for kernels that only rank rows or add them.
 
-    pack(codes) is a row; combine(coeffs, rows, width) is
-    sum_g coeffs[g] * rows[g]; extend(echelon, rows, k) is the semi-echelon
-    insert, (pivot, row) pairs that `del echelon[mark:]` rolls back;
-    reduced(echelon) is the RREF as a hashable tuple of rows, the canonical
-    form of the span; packed tells whether a row is one int.
+    pack(codes) is a row; add(u, v) is u + v; combine(coeffs, rows, width)
+    is sum_g coeffs[g] * rows[g]; extend(echelon, rows, k) is the
+    semi-echelon insert, (pivot, row) pairs that `del echelon[mark:]` rolls
+    back; reduced(echelon) is the RREF as a hashable tuple of rows, the
+    canonical form of the span.
     """
     pack: Callable
+    add: Callable
     combine: Callable
     extend: Callable
     reduced: Callable
-    packed: bool
 
 
-_BITS = _RowOps(_pack_bits, _combine_bits, _extend_bits, _reduced_bits, True)
+_BITS = _RowOps(_pack_bits, xor, _combine_bits, _extend_bits, _reduced_bits)
 
 
 def _field_rows(F):
-    """Rows as lists of field codes, for any F; the kernels that build new
-    codes from their rows (`code.shorten`) always take these."""
+    """Rows as lists of field codes, for any F; the kernels that read rows
+    back as codes (`code.shorten`, `codewords`, the support walk) always
+    take these."""
     return _RowOps(
         list,
+        lambda u, v: list(map(F.add, u, v)),
         lambda coeffs, rows, width: linear_combination(coeffs, rows, width, F),
         lambda echelon, rows, k: _extend(echelon, rows, k, F),
-        lambda echelon: tuple(map(tuple, _reduced(echelon, F)[0])),
-        False)
+        lambda echelon: tuple(map(tuple, _reduced(echelon, F)[0])))
 
 
 def _row_ops(F):
@@ -242,11 +246,13 @@ class Subspace:
     def __init__(self, field, ambient_dim, basis_rows, *, canonical=False):
         self.field = field
         self.ambient_dim = ambient_dim
-        if canonical:
-            self.basis = tuple(tuple(r) for r in basis_rows)
-        else:
-            rows, _ = _rref_rows(list(basis_rows), field)
-            self.basis = tuple(tuple(r) for r in rows)
+        if not canonical:
+            rows = [tuple(r) for r in basis_rows]
+            if any(len(r) != ambient_dim for r in rows):
+                raise AmbientMismatch(f"a basis row outside F^{ambient_dim}")
+            # Mat raises ValueError for an entry outside GF(q)
+            basis_rows = _rref_rows(Mat(field, rows).rows, field)[0]
+        self.basis = tuple(tuple(r) for r in basis_rows)
         # set once: a Subspace is never mutated, and the lattice transforms
         # hash the same ones over and over
         self._hash = hash((field.q, ambient_dim, self.basis))
@@ -287,8 +293,13 @@ class Subspace:
         return "<" + format_mat(Mat(self.field, self.basis)) + ">"
 
 
+def _span(field, n, rows) -> Subspace:
+    """The span of rows of F^n whose entries are already checked codes."""
+    return Subspace(field, n, _rref_rows(rows, field)[0], canonical=True)
+
+
 def colspace(m: Mat) -> Subspace:
-    return Subspace(m.field, m.nrows, list(zip(*m.rows)) if m.rows else ())
+    return _span(m.field, m.nrows, list(zip(*m.rows)))
 
 
 def nullspace(m: Mat) -> Subspace:
@@ -304,13 +315,13 @@ def nullspace(m: Mat) -> Subspace:
         for r, p in enumerate(pivots):
             v[p] = F.neg(rows[r][f])
         basis.append(v)
-    return Subspace(F, m.ncols, basis)
+    return _span(F, m.ncols, basis)
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     if (u.field, u.ambient_dim) != (v.field, v.ambient_dim):
         raise AmbientMismatch("subspaces of different ambient spaces")
-    return Subspace(u.field, u.ambient_dim, u.basis + v.basis)
+    return _span(u.field, u.ambient_dim, list(u.basis + v.basis))
 
 
 def orthogonal_complement(u: Subspace) -> Subspace:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from srkit.ambient import MatrixTuple, profile_create
 from srkit.code import code_create, unflatten
-from srkit.field import field_create
+from srkit.field import field_create, field_from_order
 from srkit.matq import Mat
 
 
@@ -106,22 +106,30 @@ def random_code(rng: random.Random, field, blocks, k):
 
 
 @st.composite
-def gf2_codes(draw):
-    """A random GF(2) code of dimension k <= 10: a first block of up to
-    5x5 and up to two more blocks of up to 3 rows and 5 columns."""
+def small_codes(draw, orders=(2,)):
+    """A random code over GF(q), q drawn from `orders`, with at most 2^10
+    words: a first block of up to 5x5, up to two more blocks of up to 3
+    rows and 5 columns, and k near its top."""
+    q = draw(st.sampled_from(orders))
     rows = draw(st.integers(1, 5))
     blocks = [(rows, draw(st.integers(rows, 5)))]
     for _ in range(draw(st.integers(0, 2))):
         n = draw(st.integers(1, 3))
         blocks.append((n, draw(st.integers(n, 5))))
     dim = sum(n * m for n, m in blocks)
-    top = min(10, dim)
+    top = min(int(math.log(1 << 10, q) + 1e-9), dim)
     k = draw(st.integers(1, top).map(lambda x: top + 1 - x))  # k near top
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    F = field_from_order(q)
     while True:
-        C = random_code(rng, field_create(2), blocks, k)
+        C = random_code(rng, F, blocks, k)
         if C.k == k:
             return C
+
+
+def gf2_codes():
+    """`small_codes` over GF(2): k <= 10."""
+    return small_codes()
 
 
 def random_subspace_tuple(rng: random.Random, profile):
@@ -261,44 +269,37 @@ def oracle_entropy(rho, n, m, q):
 
 
 def oracle_ops(q):
-    """(add, mul) on element codes of GF(q) for q in {2, 3, 4}, written out
-    directly; GF(4) is GF(2)[x] / (x^2 + x + 1), codes c0 + 2 c1."""
+    """(add, mul) on element codes of GF(q) for q in {2, 3, 4, 8, 9},
+    written out directly; GF(4) is GF(2)[x] / (x^2 + x + 1), codes c0 + 2 c1.
+    GF(8) = GF(2)[x] / (x^3 + x + 1) and GF(9) = GF(3)[x] / (x^2 + 2x + 2)
+    multiply by `oracle_mul`, read from a table."""
     if q == 4:
         def mul(a, b):
             r = (a if b & 1 else 0) ^ (a << 1 if b & 2 else 0)
             return r ^ 0b111 if r & 4 else r
         return (lambda a, b: a ^ b), mul
+    if q in (8, 9):
+        p, modulus = {8: (2, (1, 1, 0, 1)), 9: (3, (2, 2, 1))}[q]
+        k = len(modulus) - 1
+        table = [[oracle_mul(a, b, p, modulus) for b in range(q)]
+                 for a in range(q)]
+        return ((lambda a, b: oracle_add(a, b, p, k)),
+                (lambda a, b: table[a][b]))
     return (lambda a, b: (a + b) % q), (lambda a, b: a * b % q)
 
 
 def oracle_rank(rows, q):
-    """Rank over GF(q), q in {2, 3, 4}."""
+    """Rank over GF(q), q in {2, 3, 4, 8, 9}."""
     if q == 2:
         return oracle_rank_gf2(rows)
     if q == 3:
         return oracle_rank_modp(rows, 3)
-    add, mul = oracle_ops(4)
-    inv = {1: 1, 2: 3, 3: 2}
-    rows = [list(r) for r in rows]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        lead = inv[rows[rank][col]]
-        rows[rank] = [mul(lead, x) for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]  # characteristic 2: subtracting is adding
-                rows[i] = [add(x, mul(f, y)) for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+    return len(oracle_rref(rows, q))
 
 
 def oracle_rref(rows, q):
     """The nonzero rows of the reduced row-echelon form over GF(q), q in
-    {2, 3, 4}: the canonical basis of their span."""
+    {2, 3, 4, 8, 9}: the canonical basis of their span."""
     add, mul = oracle_ops(q)
     neg = {a: next(b for b in range(q) if add(a, b) == 0) for a in range(q)}
     inv = {a: next(b for b in range(q) if mul(a, b) == 1) for a in range(1, q)}
@@ -321,7 +322,8 @@ def oracle_rref(rows, q):
 
 def oracle_supports(code):
     """Support counts by walking `codewords`: each block's column space as
-    its `oracle_rref` basis, one tuple of bases per word (q in {2, 3, 4})."""
+    its `oracle_rref` basis, one tuple of bases per word (q in {2, 3, 4, 8,
+    9})."""
     from srkit.code import codewords
     q = code.field.q
     counts = {}
@@ -332,7 +334,7 @@ def oracle_supports(code):
 
 
 def oracle_combination(coeffs, rows, q):
-    """sum_g coeffs[g] * rows[g] over GF(q), q in {2, 3, 4}."""
+    """sum_g coeffs[g] * rows[g] over GF(q), q in {2, 3, 4, 8, 9}."""
     add, mul = oracle_ops(q)
     out = [0] * len(rows[0])
     for c, row in zip(coeffs, rows):
@@ -393,7 +395,7 @@ def oracle_add(a, b, p, k):
 
 def oracle_min_distance(code):
     """Least sum-rank weight over the nonzero words of `codewords`, each
-    block ranked by `oracle_rank` (q in {2, 3, 4})."""
+    block ranked by `oracle_rank` (q in {2, 3, 4, 8, 9})."""
     from srkit.code import codewords
     q = code.field.q
     return min(sum(oracle_rank(b.rows, q) for b in w.blocks)

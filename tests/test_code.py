@@ -10,13 +10,13 @@ from conftest import (
     msrd_d4_gf3_code,
     msrd_d6_code,
     oracle_combination,
-    oracle_rank_gf2,
     oracle_derived,
     oracle_min_distance,
     oracle_rank,
     random_code,
     random_subspace_tuple,
     rank2_plus_pivot_code,
+    small_codes,
     spherepack_d3_code,
     tup,
 )
@@ -33,12 +33,11 @@ from srkit.ambient import (
 import srkit.code as code_mod
 from srkit.code import (
     MsrdWitness,
-    _field_weights,
     _lattice_distance,
     _lattice_units,
-    _packed_weights,
     _singleton_cap,
     _walk_distance,
+    _words,
     _WORDS_PER_UNIT,
     code_create,
     codewords,
@@ -64,7 +63,7 @@ from srkit.errors import (
     TrivialCode,
 )
 from srkit.field import field_create
-from srkit.matq import Mat, Subspace, _row_ops
+from srkit.matq import Mat, Subspace, _field_rows, _row_ops
 
 F2 = field_create(2)
 F3 = field_create(3)
@@ -197,8 +196,22 @@ def _routes_agree(C):
     assert lattice == _walk_distance(C) == minimum_distance(C) == brute
 
 
-class TestPackedWalk:
-    """The GF(2) routes on packed rows against the oracles in tests/."""
+ORDERS = (2, 3, 4, 8, 9)
+
+
+def _oracle_words(C):
+    """Every word of C as its block rows, in lexicographic coefficient
+    order: `oracle_combination` over `itertools.product`."""
+    q = C.field.q
+    return [[vec[pos + a * m:pos + (a + 1) * m]
+             for pos, n, m in C.profile.slices for a in range(n)]
+            for vec in (oracle_combination(c, C._flat, q)
+                        for c in product(range(q), repeat=C.k))]
+
+
+class TestWalk:
+    """The one codeword walk, `_words`, and the walk route on top of it,
+    against the oracles in tests/."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(gf2_codes())
@@ -209,36 +222,52 @@ class TestPackedWalk:
         assert _lattice_distance(C, cap, _lattice_units(C.profile, cap),
                                  override=True) == brute
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(gf2_codes())
-    def test_packed_weights_follow_the_word_order(self, C):
-        # the packed walk visits the words of `codewords` in their order
-        words = [flatten(w) for w in codewords(C)]
-        weights = [sum(oracle_rank_gf2([vec[pos + a * m:pos + (a + 1) * m]
-                                        for a in range(n)])
-                       for pos, n, m in C.profile.slices)
-                   for vec in words[1:]]
-        ops = _row_ops(F2)
-        assert list(_packed_weights(C, ops)) == weights
-        assert list(_field_weights(C)) == weights
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(small_codes(ORDERS))
+    def test_walk_weights_follow_the_word_order(self, C):
+        # the walk's words, in both row representations, are the oracle's
+        # in its order; each one's block ranks are the oracle's ranks, and
+        # the walk route returns their least nonzero sum
+        q = C.field.q
+        expect = _oracle_words(C)
+        weights = [sum(oracle_rank(rows[a:a + n], q)
+                       for a, n in zip(_starts(C), C.profile.ns))
+                   for rows in expect]
+        for ops in (_row_ops(C.field), _field_rows(C.field)):
+            words = list(_words(C, ops))
+            assert words == [[ops.pack(r) for r in rows] for rows in expect]
+            assert [sum(len(ops.extend([], word[a:a + n], n))
+                        for a, n in zip(_starts(C), C.profile.ns))
+                     for word in words] == weights
+        assert _walk_distance(C) == min(weights[1:])
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(gf2_codes())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(small_codes(ORDERS))
     def test_codewords_keep_the_lexicographic_order(self, C):
-        expect = [oracle_combination(c, C._flat, 2)
-                  for c in product(range(2), repeat=C.k)]
+        expect = [oracle_combination(c, C._flat, C.field.q)
+                  for c in product(range(C.field.q), repeat=C.k)]
         assert [flatten(w) for w in codewords(C)] == expect
 
-    def test_packed_walk_is_guarded(self, monkeypatch):
-        C = random_code(random.Random(3), F2, [(2, 2), (1, 2)], 4)
-        expect = oracle_min_distance(C)
-        assert C.size() == 16
-        monkeypatch.setenv("SRKIT_MAX_ENUM", "15")
-        with pytest.raises(TooLarge, match="codeword enumeration of size 16"):
-            _walk_distance(C)
-        assert _walk_distance(C, override=True) == expect
-        monkeypatch.setenv("SRKIT_MAX_ENUM", "16")
-        assert _walk_distance(C) == expect
+    def test_walk_is_guarded(self, monkeypatch):
+        for F, k in ((F2, 4), (F3, 2)):
+            C = random_code(random.Random(3), F, [(2, 2), (1, 2)], k)
+            expect = oracle_min_distance(C)
+            size = F.q ** k
+            assert C.size() == size
+            monkeypatch.setenv("SRKIT_MAX_ENUM", str(size - 1))
+            with pytest.raises(TooLarge,
+                               match=f"codeword enumeration of size {size}"):
+                _walk_distance(C)
+            with pytest.raises(TooLarge):
+                next(codewords(C))
+            assert _walk_distance(C, override=True) == expect
+            monkeypatch.setenv("SRKIT_MAX_ENUM", str(size))
+            assert _walk_distance(C) == expect
+
+
+def _starts(C):
+    """The first row of each block in a word of `_words`."""
+    return [sum(C.profile.ns[:i]) for i in range(C.profile.t)]
 
 
 class TestDistanceRoutes:

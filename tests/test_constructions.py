@@ -3,9 +3,10 @@ from itertools import product
 
 import pytest
 
-from conftest import msrd_d6_code
+from conftest import msrd_d6_code, oracle_rank_gf2
 from srkit.ambient import sumrank_weight
 from srkit.code import (
+    _words,
     codewords,
     dual,
     minimum_distance,
@@ -31,7 +32,7 @@ from srkit.errors import (
     TooLarge,
 )
 from srkit.field import field_create, tower_create
-from srkit.matq import Mat
+from srkit.matq import Mat, _field_rows
 
 F2 = field_create(2)
 F3 = field_create(3)
@@ -304,12 +305,11 @@ class TestSimplexLift:
         assert cert.size == 4096 and cert.sumrank == 768
         assert cert.induced_plotkin == 4096 and cert.meets_plotkin
         assert cert.columns_distinct and cert.inner_rank_checked
-        # sampled codewords really have the certified weight
+        # sampled codewords of the walk really have the certified weight
         rng = random.Random(11)
-        from srkit.code import _iter_flat_words
-        slices = code.profile.slices
+        starts = [sum(code.profile.ns[:i]) for i in range(code.profile.t)]
         picks = {rng.randrange(1, 4096) for _ in range(12)}
-        for i, (digits, vec) in enumerate(_iter_flat_words(code)):
+        for i, word in enumerate(_words(code, _field_rows(F2))):
             if i in picks:
-                from srkit.code import _srk_of_flat
-                assert _srk_of_flat(vec, slices, F2) == 768
+                assert sum(oracle_rank_gf2(word[a:a + n]) for a, n in
+                           zip(starts, code.profile.ns)) == 768

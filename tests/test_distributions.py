@@ -27,7 +27,10 @@ from srkit.distributions import (
     _mobius_kernel,
     _subspace_table,
     _support_kernel,
+    _transform_units,
     _walk_supports,
+    _CONTRACTIONS_PER_WORD,
+    _TUPLES_PER_WORD,
     brute_distributions,
     binomial_moment_check,
     conjecture_scan,
@@ -152,15 +155,18 @@ class TestRoutes:
         assert _by_bases(_walk_supports(C)) == oracle_supports(C)
 
     @pytest.mark.parametrize("F,blocks,k", [
-        (F2, [(2, 3), (1, 2), (1, 1)], 5),  # |L| = 20: 32 < 40 <= 64
-        (F3, [(2, 2), (1, 2)], 2),          # |L| = 12: 9 < 24 <= 27
-        (F4, [(2, 2), (1, 1)], 2),          # |L| = 14: 16 < 28 <= 64
-    ])
+        (F2, [(2, 3), (1, 2), (1, 1)], 3),  # 20 tuples, 180 units: 8 < 10
+        (F3, [(2, 2), (1, 2)], 1),          # 12 tuples, 96 units: 3 < 6
+        (F4, [(2, 2), (1, 1)], 1),          # 14 tuples, 126 units: 4 < 7
+        (F2, [(3, 3)], 3),                  # 16 tuples, 256 units: 8 < 9,
+    ])                                      # by the contraction term alone
     def test_route_flips_at_the_cost_boundary(self, F, blocks, k,
                                               monkeypatch):
         import srkit.distributions as dist
-        p = profile_create(F, blocks)
-        assert F.q ** k < 2 * prod(_lattice_sizes(p)) <= F.q ** (k + 1)
+        sizes = _lattice_sizes(profile_create(F, blocks))
+        cost = (prod(sizes) // _TUPLES_PER_WORD
+                + _transform_units(sizes) // _CONTRACTIONS_PER_WORD)
+        assert F.q ** k < cost <= F.q ** (k + 1)
         ran = []
         for name in ("_walk_supports", "_lattice_supports"):
             def spy(code, override=False, name=name, route=getattr(dist, name)):
@@ -173,6 +179,20 @@ class TestRoutes:
             _, _, supd = brute_distributions(C)
             assert ran.pop() == expect
             assert _by_bases(supd.counts) == oracle_supports(C)
+
+    def test_one_large_block_walks(self, monkeypatch):
+        # 3^8 words against 2,664 tuples of one 5x5 block, whose inversion
+        # contracts 2,664^2 times: the walk takes about a seventh of the
+        # lattice route's time, so the rule must not pick the lattice
+        import srkit.distributions as dist
+        C = _code_of_dim(random.Random(8), F3, [(5, 5)], 8)
+        assert prod(_lattice_sizes(C.profile)) == 2664
+        ran = []
+        for name in ("_walk_supports", "_lattice_supports"):
+            monkeypatch.setattr(dist, name, lambda code, override=False,
+                                name=name: ran.append(name) or {})
+        brute_distributions(C)
+        assert ran == ["_walk_supports"]
 
     def test_guard_gates_the_lattice_units(self, monkeypatch):
         # 2^8 words, but |L| * sum |L_i| = 25 * 10 = 250 transform units
@@ -200,8 +220,8 @@ class TestRoutes:
     def test_guard_runs_the_walk_when_only_it_fits(self, monkeypatch,
                                                    tmp_path, capsys):
         # 2^7 words against |L| * sum |L_i| = 250 transform units: the
-        # lattice route is preferred (128 >= 2 * 25), but a guard of 200
-        # only lets the walk run
+        # lattice route is preferred (128 >= 25 // 2 + 250 // 256), but a
+        # guard of 200 only lets the walk run
         C = _code_of_dim(random.Random(7), F2, [(2, 2), (2, 2)], 7)
         expect = oracle_supports(C)
         path = tmp_path / "k7_2x2_2x2.src"

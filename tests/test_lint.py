@@ -80,3 +80,27 @@ def test_only_matq_eliminates():
              and isinstance(node.func, ast.Attribute)
              and node.func.attr == "inv"]
     assert found == []
+
+
+def _field_order(node):
+    """Whether a node reads a field's order or characteristic: `.q`, `.p`,
+    or a local `q` or `p`."""
+    return (isinstance(node, ast.Attribute) and node.attr in ("q", "p")
+            or isinstance(node, ast.Name) and node.id in ("q", "p"))
+
+
+def test_only_matq_and_field_special_case_gf2():
+    # the row representation is chosen in one place, `matq._row_ops`: no
+    # other module compares q or p with 2, so no second GF(2) path grows
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("matq.py", "field.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                if (any(map(_field_order, sides))
+                        and any(isinstance(s, ast.Constant) and s.value == 2
+                                for s in sides)):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []

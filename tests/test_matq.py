@@ -10,7 +10,8 @@ from conftest import (
     oracle_rank_gf2,
     oracle_rref,
 )
-from srkit.code import _srk_of_flat
+from srkit.ambient import profile_create, unflatten
+from srkit.code import _walk_distance, code_create
 from srkit.errors import AmbientMismatch
 from srkit.field import field_create
 from srkit.matq import (
@@ -102,10 +103,17 @@ def test_row_reduction_matches_oracles(case, data):
     cuts = sorted(set(data.draw(st.lists(st.integers(1, len(rows)),
                                          max_size=3)) if rows else []))
     bounds = list(zip([0] + cuts, cuts + [len(rows)]))
-    slices = [(a * width, b - a, width) for a, b in bounds if b > a]
-    flat = [x for r in rows for x in r]
-    assert _srk_of_flat(flat, slices, F) == sum(
-        oracle_rank(rows[a:b], q) for a, b in bounds)
+    blocks = [(a, b) for a, b in bounds if b > a]
+    weight = sum(oracle_rank(rows[a:b], q) for a, b in blocks)
+    ops = _row_ops(F)
+    assert sum(len(ops.extend([], [ops.pack(r) for r in rows[a:b]], b - a))
+               for a, b in blocks) == weight
+    if (blocks and all(b - a <= width for a, b in blocks)
+            and any(map(any, rows))):
+        # the walk route on the one-dimensional code the word spans
+        profile = profile_create(F, [(b - a, width) for a, b in blocks])
+        C = code_create(profile, [unflatten(profile, sum(rows, []))])
+        assert _walk_distance(C) == weight
 
     k = data.draw(st.integers(0, len(rows)))
     assert len(_extend([], rows, k, F)) == min(k, rk)
@@ -171,9 +179,15 @@ class TestPackedRows:
         assert ops.reduced(ops.extend([], rows, width)) == oracle_rref(rows, F.q)
 
     def test_only_gf2_is_packed(self):
-        assert _row_ops(F2).packed
-        assert not _row_ops(F3).packed and not _row_ops(F4).packed
-        assert not _field_rows(F2).packed
+        assert _row_ops(F2).pack([1, 0, 1, 1]) == 0b1101
+        assert _row_ops(F2).add(0b1101, 0b0110) == 0b1011
+        for F in (F2, F3, F4):
+            ops = _field_rows(F)
+            assert ops.pack((1, 0, 1)) == [1, 0, 1]
+            assert ops.add([1, 0, 1], [1, 1, 0]) == oracle_combination(
+                [1, 1], [[1, 0, 1], [1, 1, 0]], F.q)
+        assert _row_ops(F3).pack((2, 0, 1)) == [2, 0, 1]
+        assert _row_ops(F4).pack((3, 0, 1)) == [3, 0, 1]
 
 
 S2 = Subspace(F2, 2, [(1, 0)])
@@ -187,6 +201,19 @@ S2 = Subspace(F2, 2, [(1, 0)])
 def test_containment_checks_the_ambient_space(call):
     with pytest.raises(AmbientMismatch):
         call()
+
+
+@pytest.mark.parametrize("rows", [[(1, 0)], [(1, 0, 0), (0, 1)]],
+                         ids=["short-row", "ragged-rows"])
+def test_subspace_rows_must_fit_the_ambient_space(rows):
+    with pytest.raises(AmbientMismatch, match="basis row outside F\\^3"):
+        Subspace(F2, 3, rows)
+
+
+@pytest.mark.parametrize("F,entry", [(F2, 5), (F2, 2), (F3, -1), (F4, 4)])
+def test_subspace_entries_must_lie_in_the_field(F, entry):
+    with pytest.raises(ValueError, match=f"entry {entry} outside GF"):
+        Subspace(F, 2, [(entry, 0)])
 
 
 class TestColspace:

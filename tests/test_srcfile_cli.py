@@ -104,6 +104,15 @@ class TestExitCodes:
         monkeypatch.setenv("SRKIT_MAX_ENUM", "15")
         assert run_cli(["check", str(path)]) == (0, "MSRD, d=2, dim 12\n")
 
+    @pytest.mark.parametrize("value", ["abc", "1e3", " ", "-5", "+5", "٣"])
+    def test_malformed_env_guard_is_a_usage_error(self, value, monkeypatch,
+                                                  capsys):
+        monkeypatch.setenv("SRKIT_MAX_ENUM", value)
+        assert main(["check", str(FIXTURES / "dual_not_msrd.src")]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: SRKIT_MAX_ENUM must be a non-negative decimal "
+                       f"integer, not {value!r}\n")
+
     def test_env_guard_override(self, monkeypatch):
         monkeypatch.setenv("SRKIT_MAX_ENUM", str(1 << 26))
         path = FIXTURES / "msrd_d6_8blocks.src"
