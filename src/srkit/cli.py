@@ -101,7 +101,7 @@ def cmd_bounds(args, out):
 def cmd_check(args, out):
     code = parse_src(args.src)
     witness = msrd_check(code, override=args.override)
-    d_text = "-" if witness.d is None else str(witness.d)
+    d_text = _format_value(witness.d)
     if witness.is_msrd:
         print(f"MSRD, d={d_text}, dim {code.k}", file=out)
         return 0
@@ -136,7 +136,8 @@ def cmd_shorten(args, out):
                                   override=args.override)
     witness = msrd_check(result, override=args.override)
     print(f"shortened to {format_profile(result.profile.original_blocks)}: "
-          f"MSRD={witness.is_msrd}, d={witness.d}, dim {result.k}", file=out)
+          f"MSRD={witness.is_msrd}, d={_format_value(witness.d)}, "
+          f"dim {result.k}", file=out)
     if args.out:
         write_src(result, args.out)
     return 0 if witness.is_msrd else 1
@@ -147,7 +148,8 @@ def cmd_puncture(args, out):
     result = msrd_puncture_row(code, args.row, override=args.override)
     witness = msrd_check(result, override=args.override)
     print(f"punctured to {format_profile(result.profile.original_blocks)}: "
-          f"MSRD={witness.is_msrd}, d={witness.d}, dim {result.k}", file=out)
+          f"MSRD={witness.is_msrd}, d={_format_value(witness.d)}, "
+          f"dim {result.k}", file=out)
     if args.out:
         write_src(result, args.out)
     return 0 if witness.is_msrd else 1
@@ -288,7 +290,7 @@ def cmd_construct(args, out):
            f"{format_profile(code.profile.original_blocks)} over GF({field.q})"
     if args.certify:
         witness = msrd_check(code, override=args.override)
-        line += f"; MSRD={witness.is_msrd}, d={witness.d}"
+        line += f"; MSRD={witness.is_msrd}, d={_format_value(witness.d)}"
     print(line, file=out)
     if args.out:
         write_src(code, args.out)

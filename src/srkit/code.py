@@ -6,9 +6,9 @@ equal bases.
 
 One walk, `_words`, lists the codewords of every field, lexicographic over
 coefficient vectors: a base-p counter over the code's k*e generators over
-GF(p) (q = p^e) that adds one precomputed word per step.  A word is its N
-block rows, so `codewords`, the distance walk (`_walk_distance`) and the
-support walk of `distributions` read one stream.
+GF(p) (q = p^e) that adds one precomputed word per step.  A word is cut into
+its N block rows (`codewords`, the distance walk `_walk_distance`) or its
+block columns (the support walk of `distributions`).
 
 The minimum distance has two exact routes, picked per call by a cost known
 before either starts (see `minimum_distance`):
@@ -29,11 +29,11 @@ cost; the other route runs when only it fits the enumeration guard
 subspace tuple with the same helper and the same depth-first walk over the
 blocks (`_tuple_ranks`).
 
-Both routes rank rows in the representation `matq._row_ops` picks: over
-GF(2) a row is one int, ranked by the packed insert `matq._extend_bits`,
-and each constraint row is an XOR of per-entry bitmasks over the basis.
-`shorten`, `_subcode` and `codewords` read rows back as codes, so they take
-rows of field codes (`matq._field_rows`).
+Both routes, and the support walk, rank rows in the representation
+`matq._row_ops` picks: over GF(2) a row is one int, ranked by the packed
+insert `matq._extend_bits`, and each constraint row is an XOR of per-entry
+bitmasks over the basis.  `shorten`, `_subcode` and `codewords` read rows
+back as codes, so they take rows of field codes (`matq._field_rows`).
 
 Every derived code comes from one primitive, `_subcode`: keep the words whose
 coefficient vectors meet some constraint rows over F^k, then read them at
@@ -142,10 +142,10 @@ def zero_code(profile: Profile) -> LinearCode:
 # codeword enumeration
 # ---------------------------------------------------------------------------
 
-def _words(code: LinearCode, ops, override=False):
-    """Every codeword as its N block rows in the `ops` representation
-    (`matq._row_ops`), in lexicographic coefficient order; each is a new
-    list.
+def _words(code: LinearCode, ops, columns=False, override=False):
+    """Every codeword as a new list of cuts in the `ops` representation
+    (`matq._row_ops`), in lexicographic coefficient order.  The cuts are
+    the flat positions of each block's rows, or with `columns` its columns.
 
     GF(q) = GF(p)^e, so the code is spanned over GF(p) by the k*e words
     b_P = x^(P mod e) g_(k-1-P//e), and that order is a base-p counter over
@@ -158,16 +158,16 @@ def _words(code: LinearCode, ops, override=False):
     check_enum(code.size(), override, what="codeword enumeration")
     F = code.field
     p, D = F.p, code.profile.dim
-    cuts = [(pos + a * m, pos + (a + 1) * m)
-            for pos, n, m in code.profile.slices for a in range(n)]
+    cuts = [cut for cell in _cells(code.profile)
+            for cut in (zip(*cell) if columns else cell)]
+    word = [ops.pack([0] * len(cut)) for cut in cuts]
     steps = []
     total = [0] * D
     for g in reversed(code._flat):
         for t in range(F.k):
             total = linear_combination((1, p ** t), (total, g), D, F)
-            steps.append([ops.pack(total[a:b]) for a, b in cuts])
+            steps.append([ops.pack([total[j] for j in cut]) for cut in cuts])
     add = ops.add
-    word = [ops.pack([0] * (b - a)) for a, b in cuts]
     yield word
     for c in range(1, code.size()):
         place = 0
@@ -178,17 +178,18 @@ def _words(code: LinearCode, ops, override=False):
         yield word
 
 
-def _row_spans(profile: Profile):
-    """(first row, end row) of each block in a word of `_words`."""
-    ends = list(accumulate(profile.ns))
+def _spans(sizes):
+    """(first cut, end cut) of each block in a word of `_words`, from the
+    blocks' cut counts: `profile.ns` for rows, `profile.ms` for columns."""
+    ends = list(accumulate(sizes))
     return list(zip([0] + ends, ends))
 
 
 def codewords(code: LinearCode, override=False):
     """All q^k codewords as MatrixTuples, deterministic order."""
     profile, F = code.profile, code.field
-    spans = _row_spans(profile)
-    for word in _words(code, _field_rows(F), override):
+    spans = _spans(profile.ns)
+    for word in _words(code, _field_rows(F), override=override):
         yield MatrixTuple(profile, [Mat(F, word[a:b]) for a, b in spans],
                           check=False)
 
@@ -227,8 +228,8 @@ def _walk_distance(code: LinearCode, override=False) -> int:
     """Least sum-rank weight over the nonzero words of `_words`, each block
     ranked by one semi-echelon insert; weight 1 ends the walk."""
     ops = _row_ops(code.field)
-    extend, spans = ops.extend, _row_spans(code.profile)
-    words = _words(code, ops, override)
+    extend, spans = ops.extend, _spans(code.profile.ns)
+    words = _words(code, ops, override=override)
     next(words)  # the zero word
     best = None
     for word in words:

@@ -12,11 +12,11 @@ from itertools import combinations
 
 from .ambient import MatrixTuple, Profile, profile_create, unflatten
 from .bounds import induced_bounds
-from .code import LinearCode, _subcode, code_create, codewords, dual
+from .code import LinearCode, _subcode, code_create, dual, minimum_distance
 from .errors import BadParameters, HypothesisFailed, LengthTooLong, SrkitError
 from .field import Field, tower_create
 from .guard import check_enum
-from .matq import Mat, linear_combination, rank
+from .matq import Mat, linear_combination
 
 
 def gabidulin_mrd(field: Field, n: int, m: int, d: int) -> LinearCode:
@@ -422,9 +422,9 @@ def simplex_lift(field: Field, m: int, n: int, r: int, override=False):
     # structural checks replacing enumeration
     columns_distinct = len(set(cols)) == t
     inner = gabidulin_mrd(field, n, m, n)
-    inner_rank_checked = all(
-        rank(w.blocks[0]) == n
-        for w in codewords(inner) if not w.is_zero())
+    # every word of the n-row inner code has rank <= n, so distance n
+    # means every nonzero word has rank exactly n
+    inner_rank_checked = minimum_distance(inner, override) == n
     weight = n * delta
     ip = induced_bounds(code.profile, weight)["plotkin"]
     cert = SimplexLiftCertificate(

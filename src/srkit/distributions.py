@@ -22,11 +22,11 @@ contractions of the inversion, |L| * sum |L_i| of them.  The enumeration
 guard counts q^k words for the walk and those contractions for the lattice
 route, and the other route runs when only it fits (`guard.walk_runs`).
 
-The lattice route ranks its constraint rows (`code._constraints`) in the
-representation `matq._row_ops` picks: over GF(2), packed ints reduced by
-the XOR insert `matq._extend_bits`.  The walk reads the one codeword
-stream `code._words` as rows of field codes, since it needs each block's
-canonical column space, and counts words by the tuple of those RREF bases.
+Both routes rank in the representation `matq._row_ops` picks: over GF(2),
+packed ints reduced by the XOR insert `matq._extend_bits`.  The lattice
+route ranks its constraint rows (`code._constraints`); the walk ranks each
+block's columns from `code._words`, as the distance walk ranks its rows,
+and counts words by the tuple of the column spaces' canonical forms.
 
 Every lattice kernel reads one subspace table per distinct n, built per
 call (`_subspace_table`): the subspaces of GF(q)^n in `all_subspaces`
@@ -55,7 +55,7 @@ from .ambient import (
 from .code import (
     LinearCode,
     _constraints,
-    _row_spans,
+    _spans,
     _tuple_ranks,
     _words,
 )
@@ -69,9 +69,7 @@ from .errors import (
 from .guard import check_enum, check_keys, walk_runs
 from .matq import (
     Subspace,
-    _field_rows,
     _row_ops,
-    _rref_rows,
     all_subspaces,
     gaussian_binomial,
     linear_combination,
@@ -154,21 +152,21 @@ def brute_distributions(code: LinearCode, override=False):
 # _TUPLES_PER_WORD subspace tuples (their shortenings ranked) plus one per
 # _CONTRACTIONS_PER_WORD contractions of the inversion; integers, so a huge
 # lattice needs no float.  Measured with CPython 3.11 on a 2-vCPU x86-64
-# machine, both routes called directly on the one walk `code._words`, on
-# the 20 codes of perfbench's seed-1 spectrum workload (10 codes and their
-# duals over GF(2), GF(3), GF(4); 4 to 6561 words, 8 to 125 tuples; median
-# of up to 41 calls) and on 46 seeded codes with one 5x5 or 4x4 block or
-# two 3x3 blocks over GF(2) to GF(4), every k with q^k from |L|/10 to
-# 12|L| (1 to 3 calls).  (2, 256) picks the faster route on all 20 seed-1
-# codes, as would any 0.3 to 3.3 words per tuple (walk: GF(4), 16 words
-# against 49 tuples, 0.34 against 0.37 ms; lattice: GF(3), 27 words against
-# 8 tuples, 0.11 against 0.31 ms).  Among 1/2 to 4 words per tuple and 0 or
-# 1/32 to 1/1024 per contraction it has the least worst slowdown on the 46:
-# 2.4x (GF(4), two 3x3 blocks, k = 5; 7 codes miss).  The old rule, 2 words
-# per tuple and none per contraction, reached 12.1x (GF(4) 5x5, k = 8: walk
-# 1.7 s, lattice 20 s): the contractions grow as |L|^2 on one block.
+# machine, both routes called directly, the walk on packed GF(2) columns,
+# on the 20 codes of perfbench's seed-1 spectrum workload (10 codes and
+# their duals over GF(2), GF(3), GF(4); 4 to 6561 words, 8 to 125 tuples;
+# median of up to 41 calls) and on 43 seeded codes with one 5x5 or 4x4
+# block or two 3x3 blocks over GF(2) to GF(4), every k with q^k from |L|/10
+# to 12|L| (median of 7 calls; not GF(4) 5x5, whose 12,278^2 kernel entries
+# need GBs).  (2, 64) picks the faster route on all 20 seed-1 codes, as
+# would 1 to 4 tuples per word (closest: GF(4), 16 words against 49
+# tuples, 0.40 against 0.41 ms), and among those and 0 or 1/32 to 1/1024
+# words per contraction has the least worst slowdown on the 43: 3.0x (GF(2)
+# 4x4, k = 7, lattice 3.4 against 1.1 ms; 8 codes miss).  The packed walk
+# is 2-3x faster over GF(2), so (2, 256), fitted to the field-row walk,
+# reached 5.3x (GF(2) 5x5, k = 10: lattice 41 ms, walk 7.8 ms).
 _TUPLES_PER_WORD = 2
-_CONTRACTIONS_PER_WORD = 256
+_CONTRACTIONS_PER_WORD = 64
 
 
 def _lattice_sizes(profile: Profile):
@@ -181,21 +179,25 @@ def _lattice_sizes(profile: Profile):
 def _walk_supports(code: LinearCode, override=False):
     """Support counts by ranking every block of every codeword.
 
-    Words come from `code._words` as rows of field codes, and are counted
-    by the tuple of their blocks' RREF column-space bases; each distinct
-    support becomes a `SubspaceTuple` once, at the end.
+    Words come from `code._words` as block columns in the `matq._row_ops`
+    representation, the distance walk's, and are counted by the tuple of
+    their blocks' column spaces, each one the canonical form of the span of
+    its m columns; each distinct support becomes a `SubspaceTuple` once, at
+    the end.
     """
     profile = code.profile
     F = code.field
-    spans = _row_spans(profile)
+    ops = _row_ops(F)
+    extend, reduced = ops.extend, ops.reduced
+    blocks = list(zip(_spans(profile.ms), profile.ns))
     counts = {}
-    for word in _words(code, _field_rows(F), override):
-        key = tuple(tuple(map(tuple, _rref_rows(list(zip(*word[a:b])), F)[0]))
-                    for a, b in spans)
-        counts[key] = counts.get(key, 0) + 1
-        check_keys(len(counts))
+    for word in _words(code, ops, columns=True, override=override):
+        key = tuple(reduced(extend([], word[a:b], n)) for (a, b), n in blocks)
+        c = counts[key] = counts.get(key, 0) + 1
+        if c == 1:
+            check_keys(len(counts))
     return {SubspaceTuple(profile, [
-        Subspace(F, n, basis, canonical=True)
+        Subspace(F, n, [ops.unpack(row, n) for row in basis], canonical=True)
         for n, basis in zip(profile.ns, key)], check=False): c
         for key, c in counts.items()}
 

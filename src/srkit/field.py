@@ -345,7 +345,7 @@ class Field:
         q, p, k = self.q, self.p, self.k
         self._exp = self._log = None
         self._mul_tab = self._add_tab = self._inv_tab = self._neg_tab = None
-        if q <= _LOG_TABLE_Q and q > 2:
+        if q <= _LOG_TABLE_Q:
             step = self._mul_by(self._find_generator())
             # both tables refer to one int object per value, not one per
             # entry: about 1.8 MB less for GF(2^16)
@@ -359,12 +359,7 @@ class Field:
                 v = step(v)
             exp *= 2  # in place: exp[i + q - 1] = exp[i]
             self._exp, self._log = exp, log
-        if q == 2:
-            self._add_tab = [[self._slow_add(a, b) for b in range(q)]
-                             for a in range(q)]
-            self._mul_tab = [[self._slow_mul(a, b) for b in range(q)]
-                             for a in range(q)]
-        elif q <= _FULL_TABLE_Q:
+        if q <= _FULL_TABLE_Q:
             self._add_tab = _digit_sums(p, k)
             # row a, column b: exp[log a + log b], read off the exp slice
             # that starts at log a
@@ -372,14 +367,14 @@ class Field:
             self._mul_tab = [[0] * q] + [
                 [0, *map(self._exp[la:la + q - 1].__getitem__, logs)]
                 for la in logs]
-        if q <= _FULL_TABLE_Q:
             self._neg_tab = [self._slow_neg(a) for a in range(q)]
-            # a^-1 = g^(q-1-log a); GF(2) has no log tables
-            self._inv_tab = [0, 1] if q == 2 else [0] + [
+            # a^-1 = g^(q-1-log a)
+            self._inv_tab = [0] + [
                 self._exp[q - 1 - self._log[a]] for a in range(1, q)]
 
     def _find_generator(self):
-        # Conway moduli make the class of x primitive; otherwise search.
+        # Conway moduli make the class of x primitive; otherwise search,
+        # from 1: GF(2)'s generator
         order = self.q - 1
         facs = prime_factors(order)
 
@@ -392,7 +387,7 @@ class Field:
 
         if self.k >= 2 and primitive(self.p):
             return self.p
-        return next(c for c in range(2, self.q) if primitive(c))
+        return next(c for c in range(1, self.q) if primitive(c))
 
     def _mul_by(self, g):
         """The map v -> g*v on codes, from the k images g*x^i.
@@ -459,8 +454,6 @@ class Field:
             return 0
         if self._exp is not None:
             return self._exp[self._log[a] + self._log[b]]
-        if self.q == 2:
-            return a & b
         return self._raw_mul(a, b)
 
     def add(self, a, b):

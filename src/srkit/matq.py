@@ -8,14 +8,13 @@ One row reducer does every elimination: the semi-echelon insert `_extend`,
 where ranks stop, and `_reduced`, which sorts such a basis by pivot and
 back-substitutes with `_reduce`; `_rref_rows` is the two in turn.
 
-Kernels that only rank or add rows (the lattice constraint spaces of `code`
-and `distributions`, and the codeword walk `code._words` with its block
-rank) take their rows from `_row_ops`, the one place a row representation is
-chosen.  Over GF(2) a row is one int, entry j at bit j, rows add by XOR, and
-`_extend_bits` is the XOR twin of `_extend`: the packed semi-echelon insert
-of M4RI-style elimination, keyed by each row's lowest set bit.  Every other
-field keeps rows as lists of codes (`_field_rows`), as does every kernel
-that reads rows back as codes.
+Kernels that only rank or add rows (the lattice constraint spaces, and the
+block rows and block columns of both codeword walks) take their rows from
+`_row_ops`, the one place a row representation is chosen.  Over GF(2) a row
+is one int, entry j at bit j, rows add by XOR, and `_extend_bits` is the XOR
+twin of `_extend`: the packed semi-echelon insert of M4RI-style elimination,
+keyed by each row's lowest set bit.  Every other field keeps rows as lists
+of codes (`_field_rows`), as do the kernels that read words back as codes.
 """
 
 from __future__ import annotations
@@ -177,28 +176,32 @@ def _combine_bits(coeffs, rows, width):
 class _RowOps(NamedTuple):
     """Rows of F^width for kernels that only rank rows or add them.
 
-    pack(codes) is a row; add(u, v) is u + v; combine(coeffs, rows, width)
-    is sum_g coeffs[g] * rows[g]; extend(echelon, rows, k) is the
-    semi-echelon insert, (pivot, row) pairs that `del echelon[mark:]` rolls
-    back; reduced(echelon) is the RREF as a hashable tuple of rows, the
-    canonical form of the span.
+    pack(codes) is a row and unpack(row, width) its tuple of codes again;
+    add(u, v) is u + v; combine(coeffs, rows, width) is
+    sum_g coeffs[g] * rows[g]; extend(echelon, rows, k) is the semi-echelon
+    insert, (pivot, row) pairs that `del echelon[mark:]` rolls back;
+    reduced(echelon) is the RREF as a hashable tuple of rows, the canonical
+    form of the span.
     """
     pack: Callable
+    unpack: Callable
     add: Callable
     combine: Callable
     extend: Callable
     reduced: Callable
 
 
-_BITS = _RowOps(_pack_bits, xor, _combine_bits, _extend_bits, _reduced_bits)
+_BITS = _RowOps(_pack_bits,
+                lambda row, width: tuple(row >> j & 1 for j in range(width)),
+                xor, _combine_bits, _extend_bits, _reduced_bits)
 
 
 def _field_rows(F):
     """Rows as lists of field codes, for any F; the kernels that read rows
-    back as codes (`code.shorten`, `codewords`, the support walk) always
-    take these."""
+    back as codes (`code.shorten`, `codewords`) always take these."""
     return _RowOps(
         list,
+        lambda row, width: tuple(row),
         lambda u, v: list(map(F.add, u, v)),
         lambda coeffs, rows, width: linear_combination(coeffs, rows, width, F),
         lambda echelon, rows, k: _extend(echelon, rows, k, F),

@@ -6,6 +6,7 @@ check (tiny local eliminations, direct enumeration).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -268,6 +269,7 @@ def oracle_entropy(rho, n, m, q):
     return min(1.0, (mean_and_log_f(w)[1] - rho * w) / (n * m * math.log(q)))
 
 
+@functools.lru_cache(maxsize=None)
 def oracle_ops(q):
     """(add, mul) on element codes of GF(q) for q in {2, 3, 4, 8, 9},
     written out directly; GF(4) is GF(2)[x] / (x^2 + x + 1), codes c0 + 2 c1.
@@ -321,14 +323,17 @@ def oracle_rref(rows, q):
 
 
 def oracle_supports(code):
-    """Support counts by walking `codewords`: each block's column space as
-    its `oracle_rref` basis, one tuple of bases per word (q in {2, 3, 4, 8,
-    9})."""
-    from srkit.code import codewords
-    q = code.field.q
+    """Support counts over every coefficient vector: each word is
+    `oracle_combination` of the basis rows, each block's column space the
+    `oracle_rref` basis of its columns, one tuple of bases per word (q in
+    {2, 3, 4, 8, 9})."""
+    q, dim = code.field.q, code.profile.dim
     counts = {}
-    for w in codewords(code):
-        key = tuple(oracle_rref(list(zip(*b.rows)), q) for b in w.blocks)
+    for coeffs in itertools.product(range(q), repeat=code.k):
+        vec = oracle_combination(coeffs, code._flat, q) if code.k else [0] * dim
+        key = tuple(oracle_rref([[vec[pos + a * m + b] for a in range(n)]
+                                 for b in range(m)], q)
+                    for pos, n, m in code.profile.slices)
         counts[key] = counts.get(key, 0) + 1
     return counts
 

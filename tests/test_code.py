@@ -225,17 +225,22 @@ class TestWalk:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(small_codes(ORDERS))
     def test_walk_weights_follow_the_word_order(self, C):
-        # the walk's words, in both row representations, are the oracle's
-        # in its order; each one's block ranks are the oracle's ranks, and
-        # the walk route returns their least nonzero sum
+        # the walk's words, in both row representations and cut by rows or
+        # by columns, are the oracle's in its order; each one's block ranks
+        # are the oracle's ranks, and the walk route returns their least
+        # nonzero sum
         q = C.field.q
         expect = _oracle_words(C)
         weights = [sum(oracle_rank(rows[a:a + n], q)
                        for a, n in zip(_starts(C), C.profile.ns))
                    for rows in expect]
+        columns = [[col for a, n in zip(_starts(C), C.profile.ns)
+                    for col in zip(*rows[a:a + n])] for rows in expect]
         for ops in (_row_ops(C.field), _field_rows(C.field)):
             words = list(_words(C, ops))
             assert words == [[ops.pack(r) for r in rows] for rows in expect]
+            assert list(_words(C, ops, columns=True)) == \
+                [[ops.pack(c) for c in cols] for cols in columns]
             assert [sum(len(ops.extend([], word[a:a + n], n))
                         for a, n in zip(_starts(C), C.profile.ns))
                      for word in words] == weights

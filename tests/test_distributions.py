@@ -65,6 +65,8 @@ from srkit.srcfile import write_src_text
 F2 = field_create(2)
 F3 = field_create(3)
 F4 = field_create(2, 2)
+F8 = field_create(2, 3)
+F9 = field_create(3, 2)
 
 
 class TestBrute:
@@ -105,7 +107,7 @@ def _code_of_dim(rng, F, blocks, k):
 class TestRoutes:
     """The walk and the lattice route against a walk written in tests/."""
 
-    # mixed n and unequal m; q^dim <= 1024 keeps the oracle walk quick
+    # mixed n and unequal m; q^dim <= 6561 keeps the oracle walk quick
     PROFILES = [
         (F2, [(2, 3), (1, 2), (1, 1)]),
         (F2, [(3, 3)]),
@@ -114,6 +116,11 @@ class TestRoutes:
         (F3, [(1, 3), (1, 2), (1, 1)]),
         (F4, [(2, 2), (1, 1)]),
         (F4, [(1, 2), (1, 2), (1, 1)]),
+        # the walk's GF(p) generators x^t g matter here
+        (F8, [(2, 2)]),
+        (F8, [(1, 2), (1, 1)]),
+        (F9, [(2, 2)]),
+        (F9, [(1, 2), (1, 1)]),
     ]
 
     @pytest.mark.parametrize("F,blocks", PROFILES)
@@ -155,10 +162,10 @@ class TestRoutes:
         assert _by_bases(_walk_supports(C)) == oracle_supports(C)
 
     @pytest.mark.parametrize("F,blocks,k", [
-        (F2, [(2, 3), (1, 2), (1, 1)], 3),  # 20 tuples, 180 units: 8 < 10
-        (F3, [(2, 2), (1, 2)], 1),          # 12 tuples, 96 units: 3 < 6
-        (F4, [(2, 2), (1, 1)], 1),          # 14 tuples, 126 units: 4 < 7
-        (F2, [(3, 3)], 3),                  # 16 tuples, 256 units: 8 < 9,
+        (F2, [(2, 3), (1, 2), (1, 1)], 3),  # 20 tuples, 180 units: 8 < 12
+        (F3, [(2, 2), (1, 2)], 1),          # 12 tuples, 96 units: 3 < 7
+        (F4, [(2, 2), (1, 1)], 1),          # 14 tuples, 126 units: 4 < 8
+        (F2, [(3, 3)], 3),                  # 16 tuples, 256 units: 8 < 12,
     ])                                      # by the contraction term alone
     def test_route_flips_at_the_cost_boundary(self, F, blocks, k,
                                               monkeypatch):
@@ -220,7 +227,7 @@ class TestRoutes:
     def test_guard_runs_the_walk_when_only_it_fits(self, monkeypatch,
                                                    tmp_path, capsys):
         # 2^7 words against |L| * sum |L_i| = 250 transform units: the
-        # lattice route is preferred (128 >= 25 // 2 + 250 // 256), but a
+        # lattice route is preferred (128 >= 25 // 2 + 250 // 64), but a
         # guard of 200 only lets the walk run
         C = _code_of_dim(random.Random(7), F2, [(2, 2), (2, 2)], 7)
         expect = oracle_supports(C)

@@ -144,6 +144,9 @@ class TestPackedRows:
         width, rows = case
         packed = [_pack_bits(r) for r in rows]
         assert [_unpack(v, width) for v in packed] == [tuple(r) for r in rows]
+        ops = _row_ops(F2)
+        assert [ops.unpack(ops.pack(r), width) for r in rows] == \
+            [_unpack(v, width) for v in packed]
         rk = oracle_rank_gf2(rows)
         k = data.draw(st.integers(0, 10))
         assert len(_extend_bits([], packed, k)) == min(k, rk)
@@ -175,8 +178,14 @@ class TestPackedRows:
     @given(matrices())
     def test_field_rows_reduce_to_the_rref(self, case):
         F, width, rows = case
-        ops = _field_rows(F)
-        assert ops.reduced(ops.extend([], rows, width)) == oracle_rref(rows, F.q)
+        for ops in (_row_ops(F), _field_rows(F)):
+            # unpack reads a row back as codes, and the RREF of either
+            # representation is the oracle's
+            packed = [ops.pack(r) for r in rows]
+            assert [ops.unpack(v, width) for v in packed] == \
+                [tuple(r) for r in rows]
+            assert tuple(ops.unpack(v, width) for v in ops.reduced(
+                ops.extend([], packed, width))) == oracle_rref(rows, F.q)
 
     def test_only_gf2_is_packed(self):
         assert _row_ops(F2).pack([1, 0, 1, 1]) == 0b1101

@@ -224,6 +224,17 @@ class TestExitCodes:
         assert rc == 0 and "macwilliams: support ok, rank-list ok" in out
         assert len(calls) == 2
 
+    def test_absent_distance_prints_a_dash(self, tmp_path):
+        # a row shortening of the dimension-2 lift is the zero code, which
+        # has no distance: every command prints it as `check` does
+        lift, zero = tmp_path / "lift.src", tmp_path / "zero.src"
+        assert run_cli(["construct", "mds-lift", "--q", "2", "--m", "2",
+                        "--t", "2", "--d", "2", "--out", str(lift)])[0] == 0
+        assert run_cli(["shorten", str(lift), "--row", "2", "--out",
+                        str(zero)]) == (
+            0, "shortened to 1x2: MSRD=True, d=-, dim 0\n")
+        assert run_cli(["check", str(zero)]) == (0, "MSRD, d=-, dim 0\n")
+
 
 class TestDeterminism:
     def test_repeat_runs_identical(self):
