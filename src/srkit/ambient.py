@@ -130,6 +130,8 @@ def parse_profile(text: str):
                 raise ValueError
         except ValueError:
             raise BadBlock(f"cannot parse block {token!r}") from None
+        if r < 1:
+            raise BadBlock(f"block {token!r} repeats fewer than once")
         blocks.extend([(n, m)] * r)
     return blocks
 

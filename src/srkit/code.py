@@ -29,11 +29,11 @@ cost; the other route runs when only it fits the enumeration guard
 subspace tuple with the same helper and the same depth-first walk over the
 blocks (`_tuple_ranks`).
 
-Both routes, and the support walk, rank rows in the representation
-`matq._row_ops` picks: over GF(2) a row is one int, ranked by the packed
-insert `matq._extend_bits`, and each constraint row is an XOR of per-entry
-bitmasks over the basis.  `shorten`, `_subcode` and `codewords` read rows
-back as codes, so they take rows of field codes (`matq._field_rows`).
+Every kernel here holds rows in the representation `matq._row_ops` picks:
+over GF(2) a row is one int, ranked by the packed insert
+`matq._extend_bits`, and each constraint row is an XOR of per-entry
+bitmasks over the basis.  `codewords` reads its rows back as codes with the
+representation's `unpack`.
 
 Every derived code comes from one primitive, `_subcode`: keep the words whose
 coefficient vectors meet some constraint rows over F^k, then read them at
@@ -67,7 +67,6 @@ from .errors import (
 from .guard import check_enum, walk_runs
 from .matq import (
     Mat,
-    _field_rows,
     _row_ops,
     _rref_rows,
     enumerate_subspaces,
@@ -188,10 +187,12 @@ def _spans(sizes):
 def codewords(code: LinearCode, override=False):
     """All q^k codewords as MatrixTuples, deterministic order."""
     profile, F = code.profile, code.field
-    spans = _spans(profile.ns)
-    for word in _words(code, _field_rows(F), override=override):
-        yield MatrixTuple(profile, [Mat(F, word[a:b]) for a, b in spans],
-                          check=False)
+    ops = _row_ops(F)
+    blocks = list(zip(_spans(profile.ns), profile.ms))
+    for word in _words(code, ops, override=override):
+        yield MatrixTuple(profile, [
+            Mat(F, [ops.unpack(row, m) for row in word[a:b]])
+            for (a, b), m in blocks], check=False)
 
 
 def minimum_distance(code: LinearCode, override=False) -> int:
@@ -373,8 +374,8 @@ def shorten(code: LinearCode, u: SubspaceTuple) -> LinearCode:
     """Subcode of words whose support lies in u, via linear constraints."""
     if u.profile != code.profile:
         raise ProfileMismatch("subspace tuple lives in a different profile")
-    ops = _field_rows(code.field)
-    cons = [row for i, part in enumerate(u.parts)
+    ops = _row_ops(code.field)
+    cons = [ops.unpack(row, code.k) for i, part in enumerate(u.parts)
             for row in _constraints(code, i, ops)(
                 orthogonal_complement(part).basis)]
     return _subcode(code, cons, code.profile, range(code.profile.dim))

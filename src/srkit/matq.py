@@ -4,17 +4,13 @@ Subspaces are always stored by their reduced row-echelon basis, which is the
 unique canonical representative; that makes them usable as dictionary keys
 for support distributions.
 
-One row reducer does every elimination: the semi-echelon insert `_extend`,
-where ranks stop, and `_reduced`, which sorts such a basis by pivot and
-back-substitutes with `_reduce`; `_rref_rows` is the two in turn.
-
-Kernels that only rank or add rows (the lattice constraint spaces, and the
-block rows and block columns of both codeword walks) take their rows from
-`_row_ops`, the one place a row representation is chosen.  Over GF(2) a row
-is one int, entry j at bit j, rows add by XOR, and `_extend_bits` is the XOR
-twin of `_extend`: the packed semi-echelon insert of M4RI-style elimination,
-keyed by each row's lowest set bit.  Every other field keeps rows as lists
-of codes (`_field_rows`), as do the kernels that read words back as codes.
+Every elimination takes its rows from `_row_ops`, the one place a row
+representation is chosen, and reduces them with that representation's
+semi-echelon insert and canonical form; `_rref_rows` is the two in turn,
+read back as codes.  Over GF(2) a row is one int, entry j at bit j, rows
+add by XOR, and `_extend_bits` is the packed semi-echelon insert of
+M4RI-style elimination, keyed by each row's lowest set bit.  Every other
+field keeps rows as lists of codes (`_field_rows`, reduced by `_extend`).
 """
 
 from __future__ import annotations
@@ -80,27 +76,15 @@ def parse_mat(field: Field, text: str) -> Mat:
     return Mat(field, rows)
 
 
-def _reduce(echelon, v, F):
-    """v cleared at every pivot of `echelon`: (pivot, row) pairs, each row 1
-    at its pivot and 0 at the pivots before it, so one pass in order works."""
-    add, mul, neg = F.add, F.mul, F.neg
-    for c, row in echelon:
-        f = v[c]
-        if f:
-            nf = neg(f)
-            v = [add(x, mul(nf, y)) if y else x for x, y in zip(v, row)]
-    return v
-
-
 def _extend(echelon, rows, k, F):
-    """Insert rows into the semi-echelon basis `echelon` (as `_reduce` reads
-    it) until its rank reaches k, and return it: each row is cleared, then
-    kept scaled to a leading 1 unless it is zero."""
+    """Insert rows into the semi-echelon basis `echelon`, (pivot, row) pairs
+    with each row 1 at its pivot and 0 at the pivots before it, until its
+    rank reaches k, and return it: each row is cleared at every pivot in
+    order, then kept scaled to a leading 1 unless it is zero."""
     add, mul, neg = F.add, F.mul, F.neg
     for v in rows:
         if len(echelon) == k:
             break
-        # `_reduce` inlined: a call per row slows the tiny blocks of the walk
         for c, row in echelon:
             f = v[c]
             if f:
@@ -117,19 +101,29 @@ def _extend(echelon, rows, k, F):
 
 
 def _reduced(echelon, F):
-    """RREF of a semi-echelon basis as (rows, pivots): sorted by pivot, each
-    row cleared at the later pivots bottom-up."""
-    echelon = sorted(echelon)
-    for i in range(len(echelon) - 2, -1, -1):
-        c, row = echelon[i]
-        echelon[i] = c, _reduce(echelon[i + 1:], row, F)
-    return [row for _, row in echelon], [c for c, _ in echelon]
+    """`_reduced_bits` on rows of field codes: the RREF as a tuple of rows
+    by ascending pivot, each cleared at the later rows' pivots, from the
+    last pivot down."""
+    add, mul, neg = F.add, F.mul, F.neg
+    out = []
+    for lead, v in sorted(echelon, reverse=True):
+        for c, row in out:
+            f = v[c]
+            if f:
+                nf = neg(f)
+                v = [add(x, mul(nf, y)) if y else x for x, y in zip(v, row)]
+        out.append((lead, v))
+    return tuple([tuple(v) for _, v in reversed(out)])
 
 
 def _rref_rows(rows, F):
-    """RREF of `rows` as (nonzero rows, pivots)."""
+    """RREF of `rows` as (nonzero rows, pivots), reduced on `_row_ops` rows;
+    each pivot is its row's leading 1."""
     width = len(rows[0]) if rows else 0
-    return _reduced(_extend([], rows, min(len(rows), width), F), F)
+    ops = _row_ops(F)
+    echelon = ops.extend([], map(ops.pack, rows), min(len(rows), width))
+    out = [ops.unpack(v, width) for v in ops.reduced(echelon)]
+    return out, [r.index(1) for r in out]
 
 
 def _pack_bits(row):
@@ -161,7 +155,7 @@ def _reduced_bits(echelon):
             if v & later:
                 v ^= row
         out.append((lead, v))
-    return tuple(v for _, v in reversed(out))
+    return tuple([v for _, v in reversed(out)])
 
 
 def _combine_bits(coeffs, rows, width):
@@ -174,7 +168,7 @@ def _combine_bits(coeffs, rows, width):
 
 
 class _RowOps(NamedTuple):
-    """Rows of F^width for kernels that only rank rows or add them.
+    """Rows of F^width as every elimination and rank kernel holds them.
 
     pack(codes) is a row and unpack(row, width) its tuple of codes again;
     add(u, v) is u + v; combine(coeffs, rows, width) is
@@ -192,25 +186,25 @@ class _RowOps(NamedTuple):
 
 
 _BITS = _RowOps(_pack_bits,
-                lambda row, width: tuple(row >> j & 1 for j in range(width)),
+                lambda row, width: tuple([row >> j & 1 for j in range(width)]),
                 xor, _combine_bits, _extend_bits, _reduced_bits)
 
 
+@lru_cache(maxsize=None)
 def _field_rows(F):
-    """Rows as lists of field codes, for any F; the kernels that read rows
-    back as codes (`code.shorten`, `codewords`) always take these."""
+    """Rows as lists of field codes, for any F; built once per field."""
     return _RowOps(
         list,
         lambda row, width: tuple(row),
         lambda u, v: list(map(F.add, u, v)),
         lambda coeffs, rows, width: linear_combination(coeffs, rows, width, F),
         lambda echelon, rows, k: _extend(echelon, rows, k, F),
-        lambda echelon: tuple(map(tuple, _reduced(echelon, F)[0])))
+        lambda echelon: _reduced(echelon, F))
 
 
 def _row_ops(F):
-    """The row representation of every rank-only kernel over F, chosen here
-    and nowhere else: packed ints over GF(2), code lists otherwise."""
+    """The row representation of every elimination over F, chosen here and
+    nowhere else: packed ints over GF(2), code lists otherwise."""
     return _BITS if F.q == 2 else _field_rows(F)
 
 
@@ -226,8 +220,9 @@ def linear_combination(coeffs, rows, width, F):
 
 
 def in_rref_span(rows, vec, F) -> bool:
-    """Whether vec lies in the span of RREF rows: clear each pivot, test zero."""
-    return not any(_reduce([(row.index(1), row) for row in rows], vec, F))
+    """Whether vec lies in the span of independent rows: adding it keeps
+    the rank."""
+    return len(_rref_rows([*rows, vec], F)[0]) == len(rows)
 
 
 def rref(m: Mat):
@@ -275,7 +270,9 @@ class Subspace:
     def contains_vector(self, vec):
         if len(vec) != self.ambient_dim:
             raise AmbientMismatch("vector of a different ambient space")
-        return in_rref_span(self.basis, vec, self.field)
+        # Mat raises ValueError for an entry outside GF(q)
+        return in_rref_span(self.basis, Mat(self.field, [vec]).rows[0],
+                            self.field)
 
     def contains(self, other: "Subspace") -> bool:
         if (other.field, other.ambient_dim) != (self.field, self.ambient_dim):

@@ -52,6 +52,10 @@ class TestProfile:
         blocks = [(2, 2)] + [(1, 2)] * 7 + [(1, 1)] * 5
         assert format_profile(blocks) == "2x2,1x2x7,1x1x5"
         assert parse_profile("2x2,1x2x7,1x1x5") == blocks
+        # a repeat count below 1 is refused, not read as no block
+        for text, token in (("3x3,2x2x0", "2x2x0"), ("2x2x-1", "2x2x-1")):
+            with pytest.raises(BadBlock, match=f"block '{token}' repeats"):
+                parse_profile(text)
 
 
 class TestWeightAndSupport:

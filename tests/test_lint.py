@@ -104,3 +104,15 @@ def test_only_matq_and_field_special_case_gf2():
                                 for s in sides)):
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_matq_names_a_row_representation():
+    # callers take rows from `matq._row_ops`; the representations and
+    # their inserts and canonical forms are named inside matq only
+    hidden = {"_field_rows", "_BITS", "_extend", "_extend_bits", "_reduced",
+              "_reduced_bits"}
+    found = [f"{path.name}:{node.lineno} {name}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "matq.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             for name in _names(node) if name in hidden]
+    assert found == []

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     oracle_combination,
+    oracle_ops,
     oracle_rank,
     oracle_rank_gf2,
     oracle_rref,
@@ -93,6 +94,19 @@ def test_row_reduction_matches_oracles(case, data):
     assert all(not any(r) for r in reduced.rows[rk:])
     assert pivots == [r.index(1) for r in expect]
     assert rank(Mat(F, rows)) == oracle_rank(rows, q) == rk
+
+    if rows:
+        # the right kernel: every basis vector is annihilated by every row,
+        # and there are width - rank of them
+        add, mul = oracle_ops(q)
+        kernel = nullspace(Mat(F, rows)).basis
+        assert len(kernel) == width - oracle_rank(rows, q)
+        for v in kernel:
+            for r in rows:
+                dot = 0
+                for x, y in zip(r, v):
+                    dot = add(dot, mul(x, y))
+                assert dot == 0
 
     vec = data.draw(st.lists(st.integers(0, q - 1), min_size=width,
                              max_size=width))
@@ -219,10 +233,17 @@ def test_subspace_rows_must_fit_the_ambient_space(rows):
         Subspace(F2, 3, rows)
 
 
-@pytest.mark.parametrize("F,entry", [(F2, 5), (F2, 2), (F3, -1), (F4, 4)])
+@pytest.mark.parametrize("F,entry", [(F2, 5), (F2, 2), (F3, -1), (F4, 4),
+                                     (F3, 7)])
 def test_subspace_entries_must_lie_in_the_field(F, entry):
     with pytest.raises(ValueError, match=f"entry {entry} outside GF"):
         Subspace(F, 2, [(entry, 0)])
+    # a vector tested for membership is checked too: packed GF(2) rows
+    # would read any nonzero entry as 1
+    line = Subspace(F, 2, [(1, 0)])
+    for vec in ((entry, 0), (0, entry), (1, entry)):
+        with pytest.raises(ValueError, match=f"entry {entry} outside GF"):
+            line.contains_vector(vec)
 
 
 class TestColspace:

@@ -137,6 +137,10 @@ class TestExitCodes:
                      id="asymptotics-q-not-prime-power"),
         pytest.param(["bounds", "--q", "2", "--profile", "2xa", "--d", "1"],
                      id="profile-token-not-int"),
+        pytest.param(["bounds", "--q", "2", "--profile", "3x3,2x2x0",
+                      "--d", "2"], id="profile-repeat-zero"),
+        pytest.param(["bounds", "--q", "2", "--profile", "2x2x-1", "--d", "1"],
+                     id="profile-repeat-negative"),
         pytest.param(["check", "{tmp}/bad_profile.src"],
                      id="src-profile-token-not-int"),
         pytest.param(["check", "{tmp}/missing.src"], id="missing-file"),
