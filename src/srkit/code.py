@@ -19,15 +19,19 @@ before either starts (see `minimum_distance`):
   w = 1..d*-1 only, where d* is the largest d whose Singleton exponent is
   still >= k: the bound gives d <= d* for every code, so d = d* when those
   layers hold nothing.  Cost: sum over w < d* of prod_i [n_i, w_i]_q tuples.
+  Per dim vector it is one depth-first search on one echelon over the
+  RREF bases of the U_i^perp, block by block and row by row, each row
+  adding its constraint rows: a prefix of rank k is pruned, since every
+  completion keeps that rank, and the first tuple of rank < k ends it.
 - the walk ranks every block of all q^k codewords.
 
 The walk is preferred when q^k is below `_WORDS_PER_UNIT` times the lattice
 cost; the other route runs when only it fits the enumeration guard
 (`guard.walk_runs`).
-`shorten` builds its constraints with the same helper as the lattice route
-(`_constraints`), and `distributions.brute_distributions` ranks every
-subspace tuple with the same helper and the same depth-first walk over the
-blocks (`_tuple_ranks`).
+The walk and the search list their rows with one base-p counter (`_count`).
+`shorten` and `distributions.brute_distributions`, which ranks every
+subspace tuple, build their constraints with the search's helper
+(`_constraints`).
 
 Every kernel here holds rows in the representation `matq._row_ops` picks:
 over GF(2) a row is one int, ranked by the packed insert
@@ -45,8 +49,8 @@ mixed-m distance-2 intersection of `constructions.construct_d2` all use it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
-from math import prod
+from functools import lru_cache
+from itertools import accumulate, combinations
 
 from .ambient import (
     MatrixTuple,
@@ -64,12 +68,11 @@ from .errors import (
     ProfileMismatch,
     TrivialCode,
 )
-from .guard import check_enum, walk_runs
+from .guard import check_enum, check_subspaces, walk_runs
 from .matq import (
     Mat,
     _row_ops,
     _rref_rows,
-    enumerate_subspaces,
     gaussian_binomial,
     in_rref_span,
     linear_combination,
@@ -166,15 +169,21 @@ def _words(code: LinearCode, ops, columns=False, override=False):
         for t in range(F.k):
             total = linear_combination((1, p ** t), (total, g), D, F)
             steps.append([ops.pack([total[j] for j in cut]) for cut in cuts])
-    add = ops.add
-    yield word
-    for c in range(1, code.size()):
+    yield from _count(word, steps, code.size(), p, ops.add)
+
+
+def _count(start, steps, size, p, add):
+    """`start` and then, for c = 1..size-1, the last row list plus
+    steps[P], P the place of c's lowest nonzero base-p digit: a base-p
+    counter whose place P adds steps[P] = b_0 + ... + b_P (see `_words`)."""
+    yield start
+    for c in range(1, size):
         place = 0
         while not c % p:
             c //= p
             place += 1
-        word = list(map(add, word, steps[place]))
-        yield word
+        start = list(map(add, start, steps[place]))
+        yield start
 
 
 def _spans(sizes):
@@ -246,16 +255,18 @@ def _walk_distance(code: LinearCode, override=False) -> int:
 
 # One lattice unit (a subspace tuple whose shortening is ranked) costs about
 # as much as walking this many codewords.  Measured with CPython 3.11 on a
-# 2-vCPU x86-64 machine on the one walk `_words`, GF(2) rows packed: both
-# routes called directly (median of up to 41 calls within 1.5 s of CPU per
-# route) on each of the 28 distinct codes that perfbench's certify workload
-# certifies with seed 1 (GF(2), GF(3), GF(4), GF(256); 2^5 to 2^16 words).
-# 4 picks the faster route for every one of them; any ratio in (0.35, 6.75]
-# would.  The walk wins below: 256 words against 793 units, 2.5 ms against
-# 18 ms, and 32 words against 92 units, 0.25 ms against 1.3 ms.  The
-# lattice wins above: 2048 words against 186 units, 2.8 ms against 5.5 ms
-# (the GF(2) 5x5 Gabidulin code), and 27 words against 4 units over GF(3),
-# 0.06 ms against 0.12 ms.
+# 2-vCPU x86-64 machine, on the one walk `_words` and the depth-first
+# lattice search, GF(2) rows packed: both routes called directly (median of
+# up to 41 calls within 1.5 s of CPU per route) on each of the 28 distinct
+# codes that perfbench's certify workload certifies with seed 1 (GF(2),
+# GF(3), GF(4), GF(256); 2^5 to 2^16 words) and on two Gabidulin MRD
+# codes, where the lattice wins: GF(2) 6x6 d = 4, 12 ms against 0.73 s, and
+# GF(4) 4x4 d = 3, 14 ms against 0.94 s.  4 picks the faster route for
+# every one of them; any ratio in (0.35, 6.75] would.  The walk wins below: 256 words
+# against 793 units, 2.6 ms against 17 ms, and 32 words against 92 units,
+# 0.19 ms against 1.4 ms.  The lattice wins above: 27 words against 4 units
+# over GF(3), 0.08 ms against 0.21 ms, and 2048 words against 186 units,
+# 0.32 ms against 5.0 ms (the GF(2) 5x5 Gabidulin code).
 _WORDS_PER_UNIT = 4
 
 
@@ -300,62 +311,78 @@ def _constraints(code: LinearCode, block: int, ops):
 def _lattice_distance(code: LinearCode, cap: int, units: int,
                       override=False) -> int:
     """First layer w < cap holding a U with k - rank(constraints(U)) > 0,
-    else cap.  U_i^perp runs over the (n_i - w_i)-dimensional subspaces."""
+    else cap.
+
+    Per dim vector, one depth-first search over P_i = U_i^perp, of
+    dimension e_i = n_i - w_i, on one echelon: the blocks with e_i > 0,
+    smallest [n_i, e_i]_q first, then each block's RREF pivot patterns,
+    then P_i's basis rows, last pivot first.  A row adds its m_i
+    constraint rows; a prefix of rank k is not descended, since every
+    completion keeps that rank, and the first complete tuple of rank < k
+    ends the search.
+    """
     check_enum(units, override, what="lattice search")
     F = code.field
-    k = code.k
+    q, k = F.q, code.k
     ns = code.profile.ns
     ops = _row_ops(F)
-    blocks = {}
-    spaces = {}
+    add, extend = ops.add, ops.extend
 
-    def choices(i, e):
-        # the distinct constraint spaces of rank < k of block i over the
-        # e-dimensional P, by their RREF; a rank-k space leaves no word, so
-        # it is dropped
-        if (i, e) not in spaces:
-            if i not in blocks:
-                blocks[i] = _constraints(code, i, ops)
-            seen = {}
-            for perp in enumerate_subspaces(ns[i], e, F, override):
-                echelon = ops.extend([], blocks[i](perp.basis), k)
-                if len(echelon) < k:
-                    seen[ops.reduced(echelon)] = None
-            spaces[(i, e)] = list(seen)
-        return spaces[(i, e)]
+    @lru_cache(maxsize=None)
+    def block(i, e):
+        # ([n_i, e]_q, i, the RREF pivot patterns of the e-dimensional P in
+        # F^n_i), each pattern as its rows' levels, last pivot first
+        n = ns[i]
+        size = gaussian_binomial(n, e, q)
+        check_subspaces(size, override)
+        rows = _constraints(code, i, ops)
+        # unit[c][t]: the constraint rows of x^t e_c
+        unit = [[list(rows([[F.p ** t if j == c else 0 for j in range(n)]]))
+                 for t in range(F.k)] for c in range(n)]
+        return size, i, [
+            [_level(unit, pivots[r],
+                    [c for c in range(pivots[r] + 1, n) if c not in pivots],
+                    q, add)
+             for r in reversed(range(e))]
+            for pivots in combinations(range(n), e)]
+
+    def short(walk, b, level, r, echelon):
+        # whether rows r.. of the pattern `level` of block b, then the
+        # blocks after b, complete `echelon` to a tuple of rank < k
+        if r == len(level):
+            return b + 1 == len(walk) or any(
+                short(walk, b + 1, after, 0, echelon) for after in walk[b + 1])
+        start, steps, size = level[r]
+        mark = len(echelon)
+        for cons in _count(start, steps, size, F.p, add):
+            extend(echelon, cons, k)
+            if len(echelon) < k and short(walk, b, level, r + 1, echelon):
+                return True
+            del echelon[mark:]
+        return False
 
     for w in range(1, cap):
         for dv in _dim_vectors(ns, w):
-            picks = sorted((choices(i, n - s) for i, (n, s) in
-                            enumerate(zip(ns, dv))), key=len)
-            if any(r < k for r, _ in _tuple_ranks(picks, 0, [], k,
-                                                  ops.extend)):
+            walk = [pats for _, _, pats in sorted(
+                [block(i, n - s) for i, (n, s) in enumerate(zip(ns, dv))
+                 if s < n])]
+            if not walk or any(short(walk, 0, level, 0, [])
+                               for level in walk[0]):
                 return w
     return cap
 
 
-def _tuple_ranks(picks, depth, echelon, k, extend):
-    """Yield (rank, leaves) over the choices of one row space per block
-    from `depth` on, in itertools.product order: the rank of `echelon` plus
-    the chosen rows, and how many consecutive choices share it.
-
-    Depth-first over the blocks with incremental elimination, so each
-    choice costs one `extend` (the semi-echelon insert of the rows'
-    representation, see `matq._row_ops`); a branch whose rank reaches k is
-    not descended and yields (k, its number of choices) once.
-    """
-    if depth == len(picks):
-        yield len(echelon), 1
-        return
-    mark = len(echelon)
-    below = prod(len(p) for p in picks[depth + 1:])
-    for rows in picks[depth]:
-        extend(echelon, rows, k)
-        if len(echelon) < k:
-            yield from _tuple_ranks(picks, depth + 1, echelon, k, extend)
-        else:
-            yield k, below
-        del echelon[mark:]
+def _level(unit, pivot, free, q, add):
+    """One basis row's level: the rows e_pivot + sum_c v_c e_c in
+    itertools.product order over the free entries, as the `_count` that
+    lists their constraint rows from `unit`; `_words`' base-p counter, one
+    place per power x^t of each free entry, the last entry lowest."""
+    steps, total = [], None
+    for c in reversed(free):
+        for rows in unit[c]:
+            total = rows if total is None else list(map(add, total, rows))
+            steps.append(total)
+    return unit[pivot][0], steps, q ** len(free)
 
 
 # ---------------------------------------------------------------------------

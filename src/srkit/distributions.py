@@ -24,9 +24,14 @@ route, and the other route runs when only it fits (`guard.walk_runs`).
 
 Both routes rank in the representation `matq._row_ops` picks: over GF(2),
 packed ints reduced by the XOR insert `matq._extend_bits`.  The lattice
-route ranks its constraint rows (`code._constraints`); the walk ranks each
-block's columns from `code._words`, as the distance walk ranks its rows,
-and counts words by the tuple of the column spaces' canonical forms.
+route ranks its constraint rows (`code._constraints`): each block's rows
+are picked per subspace, reduced once, and `_tuple_ranks` ranks every
+tuple of them depth-first over the blocks on one echelon.  It does not
+share the distance search's row-by-row tree (`code._lattice_distance`):
+here every leaf is reached, and a prototype of that tree for the supports
+made a spectrum round 17.5% slower.  The walk ranks each block's columns from `code._words`, as the
+distance walk ranks its rows, and counts words by the tuple of the column
+spaces' canonical forms.
 
 Every lattice kernel reads one subspace table per distinct n, built per
 call (`_subspace_table`): the subspaces of GF(q)^n in `all_subspaces`
@@ -56,7 +61,6 @@ from .code import (
     LinearCode,
     _constraints,
     _spans,
-    _tuple_ranks,
     _words,
 )
 from .errors import (
@@ -228,6 +232,30 @@ def _lattice_supports(code: LinearCode, override=False):
     values = _product_transform(g, [tables[n].subspaces for n in profile.ns],
                                 [kernels[n] for n in profile.ns])
     return {SubspaceTuple(profile, u, check=False): c for u, c in values if c}
+
+
+def _tuple_ranks(picks, depth, echelon, k, extend):
+    """Yield (rank, leaves) over the choices of one row space per block
+    from `depth` on, in itertools.product order: the rank of `echelon` plus
+    the chosen rows, and how many consecutive choices share it.
+
+    Depth-first over the blocks with incremental elimination, so each
+    choice costs one `extend` (the semi-echelon insert of the rows'
+    representation, see `matq._row_ops`); a branch whose rank reaches k is
+    not descended and yields (k, its number of choices) once.
+    """
+    if depth == len(picks):
+        yield len(echelon), 1
+        return
+    mark = len(echelon)
+    below = prod(len(p) for p in picks[depth + 1:])
+    for rows in picks[depth]:
+        extend(echelon, rows, k)
+        if len(echelon) < k:
+            yield from _tuple_ranks(picks, depth + 1, echelon, k, extend)
+        else:
+            yield k, below
+        del echelon[mark:]
 
 
 class _SubspaceTable(NamedTuple):

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 from itertools import product
 
 import pytest
@@ -39,6 +40,9 @@ from srkit.code import (
     _walk_distance,
     _words,
     _WORDS_PER_UNIT,
+    _constraints,
+    _count,
+    _level,
     code_create,
     codewords,
     dual,
@@ -62,7 +66,7 @@ from srkit.errors import (
     TooLarge,
     TrivialCode,
 )
-from srkit.field import field_create
+from srkit.field import field_create, field_from_order
 from srkit.matq import Mat, Subspace, _field_rows, _row_ops
 
 F2 = field_create(2)
@@ -277,7 +281,60 @@ def _starts(C):
 
 class TestDistanceRoutes:
     PROFILES = [[(2, 3), (1, 2)], [(2, 2), (1, 3), (1, 1)], [(3, 3), (1, 2)],
-                [(1, 2), (1, 2), (2, 2)], [(2, 4), (1, 1), (1, 1)]]
+                [(1, 2), (1, 2), (2, 2)], [(2, 4), (1, 1), (1, 1)],
+                [(1, 3), (1, 2), (1, 1)]]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(small_codes(ORDERS))
+    def test_lattice_search_matches_the_oracle(self, C):
+        # GF(8) and GF(9) give the search's row counter x^t places
+        cap = _singleton_cap(C.profile, C.k)
+        assert _lattice_distance(C, cap, _lattice_units(C.profile, cap),
+                                 override=True) == oracle_min_distance(C)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(small_codes(ORDERS))
+    def test_search_prunes_no_short_tuple(self, C):
+        # searched alone, a dim vector dv holds a tuple of rank < k exactly
+        # when some nonzero word has every block rank at most dv's, so the
+        # pruned subtrees held no such tuple
+        q, ns = C.field.q, C.profile.ns
+        ranks = {tuple(oracle_rank(b.rows, q) for b in w.blocks)
+                 for w in codewords(C) if not w.is_zero()}
+        N = sum(ns)
+        for w in range(1, N):
+            for dv in list(code_mod._dim_vectors(ns, w)):
+                short = any(all(r <= s for r, s in zip(rv, dv))
+                            for rv in ranks)
+                with mock.patch.object(code_mod, "_dim_vectors",
+                                       lambda ns, total, w=w, dv=dv:
+                                       iter([dv] if total == w else [])):
+                    assert _lattice_distance(C, N, 0, override=True) == \
+                        (w if short else N)
+
+    @pytest.mark.parametrize("q", ORDERS)
+    def test_level_rows_follow_the_product_order(self, q):
+        # a level of the search lists the constraint rows of e_pivot +
+        # sum_c v_c e_c, v over itertools.product of the free entries; the
+        # unit rows are those of x^t e_c, x^t having the code p^t
+        F = field_from_order(q)
+        C = random_code(random.Random(q), F, [(4, 4)], 3)
+        reps = (_row_ops(F), _field_rows(F)) if q == 2 else (_row_ops(F),)
+        for ops in reps:
+            rows = _constraints(C, 0, ops)
+            unit = [[list(rows([[F.p ** t if j == c else 0
+                                 for j in range(4)]]))
+                     for t in range(F.k)] for c in range(4)]
+            for pivot, free in ((0, [1, 3]), (1, [2]), (3, [])):
+                level = _level(unit, pivot, free, q, ops.add)
+                expect = []
+                for v in product(range(q), repeat=len(free)):
+                    prow = [0] * 4
+                    prow[pivot] = 1
+                    for c, x in zip(free, v):
+                        prow[c] = x
+                    expect.append(list(rows([prow])))
+                assert list(_count(*level, F.p, ops.add)) == expect
 
     @pytest.mark.parametrize("F,kmax", [(F2, 8), (F3, 5), (F4, 4)],
                              ids=["GF2", "GF3", "GF4"])
