@@ -4,6 +4,9 @@ A profile lists the block shapes (n_i x m_i) with n_i <= m_i.  Profiles are
 normalized at construction to non-increasing column counts, which every
 bound formula assumes; the applied permutation is recorded so user-facing
 I/O can restore the original block order.
+
+An element is also a flat row of F_q^(sum n_i m_i): block-major in the
+normalized order, row-major within a block.  `_cells` is that layout's one map.
 """
 
 from __future__ import annotations
@@ -202,10 +205,16 @@ def flatten(x: MatrixTuple) -> list[int]:
     return out
 
 
+def _cells(profile: Profile):
+    """Each block's flat positions, as a list of rows: the flat layout."""
+    return [[list(range(pos + a * m, pos + (a + 1) * m)) for a in range(n)]
+            for pos, n, m in profile.slices]
+
+
 def unflatten(profile: Profile, vec) -> MatrixTuple:
     F = profile.field
-    blocks = [Mat(F, [vec[pos + i * m: pos + (i + 1) * m] for i in range(n)])
-              for pos, n, m in profile.slices]
+    blocks = [Mat(F, [[vec[c] for c in r] for r in cell])
+              for cell in _cells(profile)]
     return MatrixTuple(profile, blocks, check=False)
 
 

@@ -134,20 +134,19 @@ def cmd_shorten(args, out):
     else:
         result = msrd_shorten_col(code, args.col, col=args.index,
                                   override=args.override)
-    witness = msrd_check(result, override=args.override)
-    print(f"shortened to {format_profile(result.profile.original_blocks)}: "
-          f"MSRD={witness.is_msrd}, d={_format_value(witness.d)}, "
-          f"dim {result.k}", file=out)
-    if args.out:
-        write_src(result, args.out)
-    return 0 if witness.is_msrd else 1
+    return _report_derived("shortened", result, args, out)
 
 
 def cmd_puncture(args, out):
     code = parse_src(args.src)
     result = msrd_puncture_row(code, args.row, override=args.override)
+    return _report_derived("punctured", result, args, out)
+
+
+def _report_derived(verb, result, args, out):
+    """Certify, report and write a shortened or punctured code."""
     witness = msrd_check(result, override=args.override)
-    print(f"punctured to {format_profile(result.profile.original_blocks)}: "
+    print(f"{verb} to {format_profile(result.profile.original_blocks)}: "
           f"MSRD={witness.is_msrd}, d={_format_value(witness.d)}, "
           f"dim {result.k}", file=out)
     if args.out:
@@ -161,17 +160,25 @@ def _support_order(u):
     return u.rank_L, u.dim_vector, tuple(p.basis for p in u.parts)
 
 
+def _print_ranklists(counts, out):
+    for r in sorted(counts):
+        print(f"  {','.join(map(str, r))}: {counts[r]}", file=out)
+
+
+def _print_supports(counts, out):
+    for u in sorted(counts, key=_support_order):
+        print(f"  dim {','.join(map(str, u.dim_vector))}: {counts[u]}",
+              file=out)
+
+
 def _print_distributions(code, out, label=""):
     srd, rld, supd = brute_distributions(code)
     print(f"{label}sum-rank: " +
           " ".join(f"{r}:{c}" for r, c in enumerate(srd.counts) if c), file=out)
     print(f"{label}rank-list:", file=out)
-    for r in sorted(rld.counts):
-        print(f"  {','.join(map(str, r))}: {rld.counts[r]}", file=out)
+    _print_ranklists(rld.counts, out)
     print(f"{label}support ({len(supd.counts)} distinct supports):", file=out)
-    for u in sorted(supd.counts, key=_support_order):
-        print(f"  dim {','.join(map(str, u.dim_vector))}: {supd.counts[u]}",
-              file=out)
+    _print_supports(supd.counts, out)
     return srd, rld, supd
 
 
@@ -201,12 +208,9 @@ def cmd_macwilliams(args, out):
     dual_rl = macwilliams_ranklist(rld, code.size())
     print(f"dual support distribution ({len(dual_sup.counts)} supports):",
           file=out)
-    for u in sorted(dual_sup.counts, key=_support_order):
-        print(f"  dim {','.join(map(str, u.dim_vector))}: {dual_sup.counts[u]}",
-              file=out)
+    _print_supports(dual_sup.counts, out)
     print("dual rank-list distribution:", file=out)
-    for r in sorted(dual_rl.counts):
-        print(f"  {','.join(map(str, r))}: {dual_rl.counts[r]}", file=out)
+    _print_ranklists(dual_rl.counts, out)
     return 0
 
 

@@ -1,8 +1,8 @@
 """F_q-linear sum-rank metric codes.
 
 A code is stored by the canonical RREF basis of its flattened generator
-matrix (block-major, row-major within each block), so two equal codes have
-equal bases.
+matrix (the flat layout of `ambient._cells`: block-major, row-major within
+each block), so two equal codes have equal bases.
 
 One walk, `_words`, lists the codewords of every field, lexicographic over
 coefficient vectors: a base-p counter over the code's k*e generators over
@@ -56,6 +56,7 @@ from .ambient import (
     MatrixTuple,
     Profile,
     SubspaceTuple,
+    _cells,
     _dim_vectors,
     flatten,
     poly_product,
@@ -296,11 +297,10 @@ def _constraints(code: LinearCode, block: int, ops):
     in the orthogonal complement of span(prows).  The block's entries are
     read across the basis once, for every `prows` asked of the map.
     """
-    pos, n, m = code.profile.slices[block]
     k, pack, combine = code.k, ops.pack, ops.combine
     # cols[b][i]: entry (i, b) of the block, read across the basis
-    cols = [[pack([vec[pos + i * m + b] for vec in code._flat])
-             for i in range(n)] for b in range(m)]
+    cols = [[pack([vec[c] for vec in code._flat]) for c in col]
+            for col in zip(*_cells(code.profile)[block])]
 
     def rows(prows):
         return (combine(prow, col, k) for prow in prows for col in cols)
@@ -511,8 +511,8 @@ def systematic_form(code: LinearCode, witness: MsrdWitness | None = None,
     F = code.field
     j, delta = witness.j, witness.delta
     tail, head = _tail_head_positions(profile, j, delta)
-    slices = profile.slices
-    order = [slices[i][0] + a * slices[i][2] + b for i, a, b in tail + head]
+    cells = _cells(profile)
+    order = [cells[i][a][b] for i, a, b in tail + head]
     inv = [0] * profile.dim
     for new, old in enumerate(order):
         inv[old] = new
@@ -543,12 +543,6 @@ def _subcode(code: LinearCode, constraints, profile: Profile,
                 for c in nullspace(Mat(F, constraints)).basis]
     rows, _ = _rref_rows([[r[c] for c in positions] for r in rows], F)
     return LinearCode(profile, rows)
-
-
-def _cells(profile: Profile):
-    """Each block's flat positions, as a list of rows."""
-    return [[list(range(pos + a * m, pos + (a + 1) * m)) for a in range(n)]
-            for pos, n, m in profile.slices]
 
 
 def _cut(code: LinearCode, vanish, cells) -> LinearCode:

@@ -10,13 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .ambient import MatrixTuple, Profile, profile_create, unflatten
+from .ambient import MatrixTuple, Profile, _cells, profile_create
 from .bounds import induced_bounds
 from .code import LinearCode, _subcode, code_create, dual, minimum_distance
 from .errors import BadParameters, HypothesisFailed, LengthTooLong, SrkitError
-from .field import Field, tower_create
+from .field import Field, _digits, tower_create
 from .guard import check_enum
-from .matq import Mat, linear_combination
+from .matq import Mat, _rref_rows, linear_combination
 
 
 def gabidulin_mrd(field: Field, n: int, m: int, d: int) -> LinearCode:
@@ -130,10 +130,10 @@ def construct_d2(field: Field, blocks) -> D2Result:
     wide = _construct_d2_equal_m(
         field, profile_create(field, [(n, m1) for n, _ in profile.blocks])).code
     keep, cut = [], []
-    for (pos, n, _), (_, m2) in zip(wide.profile.slices, profile.blocks):
-        for i in range(n):
-            for b in range(m1):
-                (keep if b < m2 else cut).append(pos + i * m1 + b)
+    for cell, (_, m2) in zip(_cells(wide.profile), profile.blocks):
+        for r in cell:
+            keep += r[:m2]
+            cut += r[m2:]
     code = _subcode(wide, [[vec[c] for vec in wide._flat] for c in cut],
                     profile, keep)
     expect = sum(m * n for n, m in profile.blocks[1:]) + ms[0] * (profile.ns[0] - 1)
@@ -362,10 +362,10 @@ def construct_lifting(field: Field, blocks, deltas, h: int,
             raise BadParameters("outer words must have one symbol per block")
         word = profile.from_user_order(list(word))
         vec = []
-        for (_, n, m), rows, a in zip(profile.slices, inner, word):
+        for (n, m), rows, a in zip(profile.blocks, inner, word):
             vec += linear_combination(tower.coords(a), rows, n * m, field)
-        gens.append(unflatten(profile, vec))
-    code = code_create(profile, gens)
+        gens.append(vec)
+    code = LinearCode(profile, _rref_rows(gens, field)[0])
     if code.k != len(gens):
         raise BadParameters("outer generators were dependent over F_q")
     bound = sum(sorted(deltas)[:outer_distance])
@@ -400,14 +400,8 @@ def simplex_lift(field: Field, m: int, n: int, r: int, override=False):
     cols = []
     for lead in range(r):
         tail = r - lead - 1
-        count = Q ** tail
-        for idx in range(count):
-            v = [0] * lead + [1]
-            rest = idx
-            for _ in range(tail):
-                v.append(rest % Q)
-                rest //= Q
-            cols.append(tuple(v))
+        for idx in range(Q ** tail):
+            cols.append((0,) * lead + (1,) + _digits(idx, Q, tail))
     t = len(cols)
     if t != (Q ** r - 1) // (Q - 1):
         raise SrkitError(f"{t} columns, not the points of PG({r - 1}, {Q})")

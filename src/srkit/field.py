@@ -225,19 +225,13 @@ def conway_polynomial(p: int, k: int) -> tuple[int, ...]:
     sub_polys = [(d, conway_polynomial(p, d)) for d in subs]
     x = (0, 1)
     for word in range(p ** k):
-        # word digits w_{k-1} .. w_0, most significant first
-        digits = []
-        w = word
-        for _ in range(k):
-            digits.append(w % p)
-            w //= p
-        digits.reverse()
+        digits = _digits(word, p, k)  # w_0 .. w_{k-1}
         coeffs = [0] * (k + 1)
         coeffs[k] = 1
         for i in range(k):
             # w_i compares (-1)^(k-i) a_i, so a_i = (-1)^(k-i) w_i
             sign = -1 if (k - i) % 2 else 1
-            coeffs[i] = (sign * digits[k - 1 - i]) % p
+            coeffs[i] = (sign * digits[i]) % p
         f = tuple(coeffs)
         if not is_irreducible(f, p):
             continue
@@ -262,16 +256,20 @@ def conway_polynomial(p: int, k: int) -> tuple[int, ...]:
 
 def _smallest_irreducible(p, k):
     for value in range(p ** k):
-        digits = []
-        w = value
-        for _ in range(k):
-            digits.append(w % p)
-            w //= p
-        digits.reverse()  # a_{k-1} .. a_0
-        f = tuple(reversed(digits)) + (1,)
+        f = _digits(value, p, k) + (1,)  # a_0 .. a_{k-1}, 1
         if is_irreducible(f, p):
             return f
     raise RuntimeError("unreachable: irreducible polynomials exist in every degree")
+
+
+def _digits(code, p, k):
+    """The k base-p digits of `code`, lowest first: the coefficients of an
+    element of GF(p^k), or the places of a base-p counter."""
+    out = []
+    for _ in range(k):
+        out.append(code % p)
+        code //= p
+    return tuple(out)
 
 
 def _digit_sums(p, k):
@@ -322,11 +320,7 @@ class Field:
     # -- raw polynomial view ------------------------------------------------
 
     def _digits(self, code):
-        out = []
-        for _ in range(self.k):
-            out.append(code % self.p)
-            code //= self.p
-        return tuple(out)
+        return _digits(code, self.p, self.k)
 
     def _code(self, digits):
         c = 0

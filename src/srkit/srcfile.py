@@ -16,15 +16,19 @@ block order):
 
 Blocks inside a stanza are separated by exactly one blank line; writing then
 parsing a canonical file is the identity byte for byte.
+
+Each block is written straight from the code's flat rows, and read straight
+into them, through `ambient._cells` in user block order.  Each block line's
+entries are checked once, by `Mat` (through `parse_mat`), then its shape.
 """
 
 from __future__ import annotations
 
-from .ambient import MatrixTuple, format_profile, parse_profile, profile_create
-from .code import LinearCode, code_create
+from .ambient import _cells, format_profile, parse_profile, profile_create
+from .code import LinearCode
 from .errors import ParseError
 from .field import field_create
-from .matq import Mat, format_mat
+from .matq import _rref_rows, parse_mat
 
 MAGIC = "srcv1"
 
@@ -37,13 +41,11 @@ def write_src_text(code: LinearCode) -> str:
              f"field {field.p} {field.k} mod={mod}",
              f"profile {format_profile(profile.original_blocks)}",
              f"dim {code.k}"]
-    for i, gen in enumerate(code.basis, start=1):
-        lines.append(f"gen {i}")
-        user_blocks = profile.to_user_order(gen.blocks)
-        for j, block in enumerate(user_blocks):
-            if j > 0:
-                lines.append("")
-            lines.append(format_mat(block))
+    cells = profile.to_user_order(_cells(profile))
+    for i, vec in enumerate(code._flat, start=1):
+        blocks = (";".join(" ".join(str(vec[c]) for c in r) for r in cell)
+                  for cell in cells)
+        lines += [f"gen {i}", "\n\n".join(blocks)]
     return "\n".join(lines) + "\n"
 
 
@@ -87,13 +89,14 @@ def parse_src_text(text: str) -> LinearCode:
         dim = int(take("dim ").split()[1])
     except (IndexError, ValueError):
         raise ParseError("malformed dim line", line=4)
-    gens = []
+    cells = profile.to_user_order(_cells(profile))
+    rows = []
     for i in range(1, dim + 1):
         header = take("gen ")
         if header != f"gen {i}":
             raise ParseError(f"expected 'gen {i}', got {header!r}", line=pos)
-        user_blocks = []
-        for j, (n, m) in enumerate(raw_blocks):
+        row = [0] * profile.dim
+        for j, ((n, m), cell) in enumerate(zip(raw_blocks, cells)):
             if j > 0:
                 blank = take()
                 if blank != "":
@@ -101,19 +104,20 @@ def parse_src_text(text: str) -> LinearCode:
                                      line=pos)
             mat_line = take()
             try:
-                mat = Mat(field, [[int(x) for x in part.split()]
-                                  for part in mat_line.split(";")])
-            except Exception:
+                mat = parse_mat(field, mat_line)
+            except ValueError:
                 raise ParseError(f"malformed matrix {mat_line!r}", line=pos)
             if (mat.nrows, mat.ncols) != (n, m):
                 raise ParseError(
                     f"block {j + 1} of gen {i} has shape "
                     f"{mat.nrows}x{mat.ncols}, profile says {n}x{m}", line=pos)
-            user_blocks.append(mat)
-        gens.append(MatrixTuple(profile, profile.from_user_order(user_blocks)))
+            for r, values in zip(cell, mat.rows):
+                for c, x in zip(r, values):
+                    row[c] = x
+        rows.append(row)
     if pos != len(lines):
         raise ParseError("trailing content after last generator", line=pos + 1)
-    code = code_create(profile, gens)
+    code = LinearCode(profile, _rref_rows(rows, field)[0])
     if code.k != dim:
         raise ParseError(f"generators span dimension {code.k}, header says {dim}")
     return code

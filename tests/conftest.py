@@ -106,6 +106,10 @@ def random_code(rng: random.Random, field, blocks, k):
     return code_create(p, gens)
 
 
+# field orders for the property tests: two primes, three extension fields
+ORDERS = (2, 3, 4, 8, 9)
+
+
 @st.composite
 def small_codes(draw, orders=(2,)):
     """A random code over GF(q), q drawn from `orders`, with at most 2^10

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    ORDERS,
     gf2_codes,
     msrd_d4_gf3_code,
     msrd_d6_code,
@@ -198,9 +199,6 @@ def _routes_agree(C):
     assert brute <= cap
     lattice = _lattice_distance(C, cap, _lattice_units(C.profile, cap))
     assert lattice == _walk_distance(C) == minimum_distance(C) == brute
-
-
-ORDERS = (2, 3, 4, 8, 9)
 
 
 def _oracle_words(C):

@@ -116,3 +116,13 @@ def test_only_matq_names_a_row_representation():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              for name in _names(node) if name in hidden]
     assert found == []
+
+
+def test_only_ambient_reads_the_flat_layout():
+    # `ambient._cells` is the one map from blocks to flat positions: no
+    # other module reads a profile's block offsets and spells it out again
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "ambient.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "slices"]
+    assert found == []

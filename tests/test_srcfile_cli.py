@@ -2,11 +2,15 @@ import io
 import pathlib
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import msrd_d6_code
+from conftest import ORDERS, msrd_d6_code, small_codes
+from srkit.ambient import MatrixTuple, profile_create
 from srkit.cli import main
+from srkit.code import code_create, zero_code
 from srkit.errors import ParseError
 from srkit.field import field_create
+from srkit.matq import Mat
 from srkit.srcfile import parse_src, parse_src_text, write_src_text
 
 HERE = pathlib.Path(__file__).resolve().parent
@@ -48,6 +52,57 @@ class TestSrcFormat:
         broken = text.replace("profile 1x2x5,1x1x3", "profile 1x2x4,1x1x4")
         with pytest.raises(ParseError):
             parse_src_text(broken)
+
+    # msrd_d4_gf3.src: line 6 is gen 1's 2x2 block over GF(3), line 7 the
+    # blank after it, line 8 its first 1x2 block
+    @pytest.mark.parametrize("line, text, message", [
+        (6, "3 0;0 0", "line 6: malformed matrix '3 0;0 0'"),
+        (6, "-1 0;0 0", "line 6: malformed matrix '-1 0;0 0'"),
+        (6, "1 0;0", "line 6: malformed matrix '1 0;0'"),
+        (6, "1 a;0 0", "line 6: malformed matrix '1 a;0 0'"),
+        (8, "1 0 1",
+         "line 8: block 2 of gen 1 has shape 1x3, profile says 1x2"),
+        (8, "", "line 8: block 2 of gen 1 has shape 1x0, profile says 1x2"),
+        (7, None, "line 7: expected blank line between blocks"),
+    ])
+    def test_each_rejection_names_its_line(self, line, text, message,
+                                           tmp_path, capsys):
+        lines = (FIXTURES / "msrd_d4_gf3.src").read_text().split("\n")
+        lines[line - 1:line] = [] if text is None else [text]
+        broken = "\n".join(lines)
+        with pytest.raises(ParseError) as err:
+            parse_src_text(broken)
+        assert (str(err.value), err.value.line) == (message, line)
+        path = tmp_path / "broken.src"
+        path.write_text(broken)
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(small_codes(ORDERS))
+    def test_random_codes_round_trip(self, C):
+        # about one random profile in six is reordered, and GF(4), GF(8)
+        # and GF(9) write a modulus line of degree > 1
+        text = write_src_text(C)
+        assert parse_src_text(text) == C
+        assert write_src_text(parse_src_text(text)) == text
+
+    def test_blocks_are_written_in_user_order(self):
+        F4 = field_create(2, 2)
+        P = profile_create(F4, [(1, 1), (2, 3), (1, 2)])
+        assert P.blocks == ((2, 3), (1, 2), (1, 1))
+        gen = MatrixTuple(P, P.from_user_order([
+            Mat(F4, [[3]]), Mat(F4, [[1, 2, 0], [0, 0, 1]]),
+            Mat(F4, [[0, 2]])]))
+        C = code_create(P, [gen])
+        text = ("srcv1\nfield 2 2 mod=1,1,1\nprofile 1x1,2x3,1x2\ndim 1\n"
+                "gen 1\n3\n\n1 2 0;0 0 1\n\n0 2\n")
+        assert write_src_text(C) == text
+        assert parse_src_text(text) == C
+        Z = zero_code(P)
+        assert write_src_text(Z) == \
+            "srcv1\nfield 2 2 mod=1,1,1\nprofile 1x1,2x3,1x2\ndim 0\n"
+        assert parse_src_text(write_src_text(Z)) == Z
 
 
 def run_cli(argv):
