@@ -6,7 +6,8 @@ bound formula assumes; the applied permutation is recorded so user-facing
 I/O can restore the original block order.
 
 An element is also a flat row of F_q^(sum n_i m_i): block-major in the
-normalized order, row-major within a block.  `_cells` is that layout's one map.
+normalized order, row-major within a block.  `_cells` is that layout's one
+map, and `_join` places one part per block through it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import (
     ProfileMismatch,
 )
 from .field import Field
-from .guard import check_enum
+from .guard import _decimal, check_enum
 from .matq import (
     Mat,
     Subspace,
@@ -125,12 +126,12 @@ def parse_profile(text: str):
     for token in text.strip().split(","):
         parts = token.lower().split("x")
         try:
-            if len(parts) == 2:
-                n, m, r = int(parts[0]), int(parts[1]), 1
-            elif len(parts) == 3:
-                n, m, r = int(parts[0]), int(parts[1]), int(parts[2])
-            else:
+            if len(parts) not in (2, 3):
                 raise ValueError
+            # ASCII decimals, read with a minus sign so that a negative
+            # count is refused as one
+            n, m, r = [-_decimal(x[1:]) if x.startswith("-") else _decimal(x)
+                       for x in parts] + [1] * (3 - len(parts))
         except ValueError:
             raise BadBlock(f"cannot parse block {token!r}") from None
         if r < 1:
@@ -198,17 +199,29 @@ class MatrixTuple:
 
 
 def flatten(x: MatrixTuple) -> list[int]:
-    out = []
-    for b in x.blocks:
-        for r in b.rows:
-            out.extend(r)
-    return out
+    (row,) = _join(x.profile, [[sum(b.rows, ()) for b in x.blocks]])
+    return row
 
 
 def _cells(profile: Profile):
     """Each block's flat positions, as a list of rows: the flat layout."""
     return [[list(range(pos + a * m, pos + (a + 1) * m)) for a in range(n)]
             for pos, n, m in profile.slices]
+
+
+def _join(profile: Profile, gens):
+    """One flat row per generator of `gens`, a list of parts: block i of the
+    row holds parts[i], its entries row-major.  A part shorter than its
+    block leaves the rest of the block zero."""
+    cells = [[c for r in cell for c in r] for cell in _cells(profile)]
+    rows = []
+    for parts in gens:
+        row = [0] * profile.dim
+        for cell, part in zip(cells, parts):
+            for c, x in zip(cell, part):
+                row[c] = x
+        rows.append(row)
+    return rows
 
 
 def unflatten(profile: Profile, vec) -> MatrixTuple:

@@ -129,7 +129,12 @@ def code_create(profile: Profile, generators) -> LinearCode:
     for g in gens:
         if not isinstance(g, MatrixTuple) or g.profile != profile:
             raise ProfileMismatch("generator does not live in the given profile")
-    rows = [flatten(g) for g in gens]
+    return _from_rows(profile, [flatten(g) for g in gens])
+
+
+def _from_rows(profile: Profile, rows) -> LinearCode:
+    """The code spanned by flat rows of `profile`, reduced once to its
+    canonical basis: the one door from generator rows to a code."""
     return LinearCode(profile, _rref_rows(rows, profile.field)[0])
 
 
@@ -541,8 +546,7 @@ def _subcode(code: LinearCode, constraints, profile: Profile,
     if constraints:
         rows = [linear_combination(c, rows, code.profile.dim, F)
                 for c in nullspace(Mat(F, constraints)).basis]
-    rows, _ = _rref_rows([[r[c] for c in positions] for r in rows], F)
-    return LinearCode(profile, rows)
+    return _from_rows(profile, [[r[c] for c in positions] for r in rows])
 
 
 def _cut(code: LinearCode, vanish, cells) -> LinearCode:

@@ -3,6 +3,12 @@
 Everything returns a LinearCode in a normalized profile.  Small outputs are
 meant to be certified by msrd_check / minimum_distance; the simplex lift is
 too large to enumerate and instead carries a structural certificate.
+
+Every construction builds its generators as flat rows and reduces them once,
+through `code._from_rows`.  `_expand` writes a vector over GF(q^m) as the m
+rows of its multiples beta_l * vec in tower coordinates (the Gabidulin
+codes, the MDS lift and the expanded MDS part of `construct_combine`), and
+`ambient._join` places one part per block, row-major, into a flat row.
 """
 
 from __future__ import annotations
@@ -10,13 +16,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .ambient import MatrixTuple, Profile, _cells, profile_create
+from .ambient import Profile, _cells, _join, profile_create
 from .bounds import induced_bounds
-from .code import LinearCode, _subcode, code_create, dual, minimum_distance
+from .code import (
+    LinearCode,
+    _from_rows,
+    _subcode,
+    dual,
+    minimum_distance,
+    zero_code,
+)
 from .errors import BadParameters, HypothesisFailed, LengthTooLong, SrkitError
-from .field import Field, _digits, tower_create
+from .field import Field, Tower, _digits, tower_create
 from .guard import check_enum
-from .matq import Mat, _rref_rows, linear_combination
+from .matq import Mat, linear_combination
 
 
 def gabidulin_mrd(field: Field, n: int, m: int, d: int) -> LinearCode:
@@ -31,17 +44,22 @@ def gabidulin_mrd(field: Field, n: int, m: int, d: int) -> LinearCode:
     tower = tower_create(field, m)
     top = tower.top
     points = tower.basis()[:n]
-    profile = profile_create(field, [(n, m)])
     gens = []
     for rexp in range(n - d + 1):
-        powered = [top.pow(g, field.q ** rexp) for g in points]
-        for beta_l in tower.basis():
-            rows = [tower.coords(top.mul(beta_l, gp)) for gp in powered]
-            gens.append(MatrixTuple(profile, [Mat(field, rows)]))
-    code = code_create(profile, gens)
+        gens += _expand(tower, [top.pow(g, field.q ** rexp) for g in points])
+    code = _from_rows(profile_create(field, [(n, m)]), gens)
     if code.k != m * (n - d + 1):
         raise BadParameters("evaluation points were dependent (internal error)")
     return code
+
+
+def _expand(tower: Tower, vec):
+    """The m rows of beta_l * vec, l < m, for vec over the top field of
+    `tower`, each entry written as its m coordinates over the base: row-major
+    n x m blocks for an n-vector, or n blocks of one row each."""
+    top = tower.top
+    return [[c for a in vec for c in tower.coords(top.mul(beta_l, a))]
+            for beta_l in tower.basis()]
 
 
 def rs_mds(field: Field, length: int, distance: int) -> Mat:
@@ -81,27 +99,12 @@ def construct_mds_lift(field: Field, m: int, t: int, d: int) -> LinearCode:
     if not (1 <= d <= t):
         raise BadParameters(f"need 1 <= d <= t, got d={d}, t={t}")
     tower = tower_create(field, m)
-    top = tower.top
-    G = rs_mds(top, t, d)
-    profile = profile_create(field, [(1, m)] * t)
-    gens = []
-    for row in G.rows:
-        for beta_l in tower.basis():
-            blocks = [Mat(field, [tower.coords(top.mul(beta_l, a))]) for a in row]
-            gens.append(MatrixTuple(profile, blocks))
-    code = code_create(profile, gens)
+    G = rs_mds(tower.top, t, d)
+    code = _from_rows(profile_create(field, [(1, m)] * t),
+                      [e for row in G.rows for e in _expand(tower, row)])
     if code.k != m * (t - d + 1):
         raise BadParameters("MDS expansion lost rank (internal error)")
     return code
-
-
-def _pad_rows(field: Field, mat: Mat, n_target: int) -> Mat:
-    rows = list(mat.rows) + [(0,) * mat.ncols] * (n_target - mat.nrows)
-    return Mat(field, rows)
-
-
-def _neg_mat(field: Field, mat: Mat) -> Mat:
-    return Mat(field, [[field.neg(x) for x in r] for r in mat.rows])
 
 
 @dataclass(frozen=True)
@@ -143,51 +146,30 @@ def construct_d2(field: Field, blocks) -> D2Result:
 
 
 def _construct_d2_equal_m(field: Field, profile: Profile) -> D2Result:
-    m = profile.ms[0]
-    order = sorted(range(profile.t), key=lambda i: -profile.ns[i])
-    ns_sorted = [profile.ns[i] for i in order]
-    n1 = ns_sorted[0]
-    inner = (gabidulin_mrd(field, n1, m, 2).basis if n1 >= 2 else [])
-    gens_sorted = []
-    zero_blocks = [Mat.zero(field, n, m) for n in ns_sorted]
-    for a in inner:
-        blocks = list(zero_blocks)
-        blocks[0] = a.blocks[0]
-        gens_sorted.append(blocks)
-    for i in range(1, profile.t):
-        n_i = ns_sorted[i]
-        for r in range(n_i):
-            for c in range(m):
-                e = [[1 if (rr, cc) == (r, c) else 0 for cc in range(m)]
-                     for rr in range(n_i)]
-                blocks = list(zero_blocks)
-                blocks[i] = Mat(field, e)
-                blocks[0] = _neg_mat(field, _pad_rows(field, blocks[i], n1))
-                gens_sorted.append(blocks)
-    # dual: projections of the rank-n1 dual MRD code onto the first n_i rows
-    if n1 >= 2:
-        dual_inner = dual(gabidulin_mrd(field, n1, m, 2))
-    else:
-        one_block = profile_create(field, [(1, m)])
-        dual_inner = code_create(
-            one_block,
-            [MatrixTuple(one_block,
-                         [Mat(field, [[1 if cc == c0 else 0 for cc in range(m)]])])
-             for c0 in range(m)])
-    dual_gens_sorted = []
-    for b in dual_inner.basis:
-        top = b.blocks[0]
-        dual_gens_sorted.append(
-            [Mat(field, top.rows[:n]) for n in ns_sorted])
-    inv = [0] * profile.t
-    for newpos, old in enumerate(order):
-        inv[old] = newpos
-    gens = [MatrixTuple(profile, [bl[inv[i]] for i in range(profile.t)])
-            for bl in gens_sorted]
-    dual_gens = [MatrixTuple(profile, [bl[inv[i]] for i in range(profile.t)])
-                 for bl in dual_gens_sorted]
-    code = code_create(profile, gens)
-    stated = code_create(profile, dual_gens)
+    """The span of a rank-2 MRD code in the first block with the most rows,
+    `top`, and of each other cell (i, r, c) minus the same cell of `top`:
+    the tuples whose blocks, padded with zero rows and summed, lie in the
+    MRD code.  Its stated dual cuts the dual MRD code's words to each
+    block's rows."""
+    m, ns = profile.ms[0], profile.ns
+    top = ns.index(max(ns))
+    # no rank-2 code fits one row: the zero code, whose dual is everything
+    mrd = (gabidulin_mrd(field, ns[top], m, 2) if ns[top] >= 2
+           else zero_code(profile_create(field, [(1, m)])))
+    cells = _cells(profile)
+    gens = _join(profile, [[g if i == top else () for i in range(profile.t)]
+                           for g in mrd._flat])
+    minus_one = field.neg(1)
+    for i, cell in enumerate(cells):
+        if i != top:
+            for r, row in enumerate(cell):
+                for c, pos in enumerate(row):
+                    gen = [0] * profile.dim
+                    gen[pos], gen[cells[top][r][c]] = 1, minus_one
+                    gens.append(gen)
+    code = _from_rows(profile, gens)
+    stated = _from_rows(profile, _join(profile, [[g[:n * m] for n in ns]
+                                                 for g in dual(mrd)._flat]))
     if code.k != m * (profile.N - 1) or stated.k != m:
         raise BadParameters("distance-2 construction lost rank (internal error)")
     return D2Result(code, stated)
@@ -196,13 +178,9 @@ def _construct_d2_equal_m(field: Field, profile: Profile) -> D2Result:
 def construct_dN(field: Field, blocks) -> LinearCode:
     """MSRD code of distance N: diagonal join of full-rank MRD bases."""
     profile = profile_create(field, blocks)
-    ns, ms = profile.ns, profile.ms
-    m_t = ms[-1]
-    bases = [gabidulin_mrd(field, n, m, n).basis for n, m in profile.blocks]
-    gens = [MatrixTuple(profile, [bases[i][ell].blocks[0]
-                                  for i in range(profile.t)])
-            for ell in range(m_t)]
-    return code_create(profile, gens)
+    bases = [gabidulin_mrd(field, n, m, n)._flat for n, m in profile.blocks]
+    # zip stops at the shortest basis, the last block's m_t rows
+    return _from_rows(profile, _join(profile, zip(*bases)))
 
 
 def construct_dN_minus(field: Field, blocks, alpha: int = 1) -> LinearCode:
@@ -221,13 +199,10 @@ def construct_dN_minus(field: Field, blocks, alpha: int = 1) -> LinearCode:
     if n_t < alpha + 1 or (alpha + 1) * m_t > ms[-2]:
         raise HypothesisFailed(
             f"needs n_t >= {alpha + 1} and {(alpha + 1)}*m_t <= m_(t-1)")
-    dim = (alpha + 1) * m_t
-    bases = [gabidulin_mrd(field, n, m, n).basis for n, m in profile.blocks[:-1]]
-    bases.append(gabidulin_mrd(field, n_t, m_t, n_t - alpha).basis)
-    gens = [MatrixTuple(profile, [bases[i][ell].blocks[0]
-                                  for i in range(profile.t)])
-            for ell in range(dim)]
-    return code_create(profile, gens)
+    bases = [gabidulin_mrd(field, n, m, n)._flat for n, m in profile.blocks[:-1]]
+    bases.append(gabidulin_mrd(field, n_t, m_t, n_t - alpha)._flat)
+    # zip stops at the shortest basis, the last block's (alpha + 1) m_t rows
+    return _from_rows(profile, _join(profile, zip(*bases)))
 
 
 def construct_msrd111(field: Field, inner_blocks, t2: int) -> LinearCode:
@@ -256,23 +231,17 @@ def construct_combine(field: Field, inner_blocks, t2: int, m_hat: int) -> Linear
     if a > t2:
         raise HypothesisFailed(f"needs a = {a} <= t2 = {t2}")
     tower = tower_create(field, m_hat)
-    top = tower.top
-    G = rs_mds(top, t2, t2 - a + 1)
+    G = rs_mds(tower.top, t2, t2 - a + 1)
+    # m_hat <= m_last, so the single-entry blocks stay last
     profile = profile_create(field,
                              list(inner_profile.blocks) + [(1, m_hat)] * t2)
-    bases = [gabidulin_mrd(field, n, m, n).basis
+    bases = [gabidulin_mrd(field, n, m, n)._flat
              for n, m in inner_profile.blocks]
-    expanded = []
-    for row in G.rows:
-        for beta_l in tower.basis():
-            expanded.append([Mat(field, [tower.coords(top.mul(beta_l, x))])
-                             for x in row])
-    gens = []
-    for i in range(m_last):
-        blocks = [bases[jj][i].blocks[0] for jj in range(inner_profile.t)]
-        blocks += expanded[i]
-        gens.append(MatrixTuple(profile, blocks))
-    return code_create(profile, gens)
+    expanded = [e for row in G.rows for e in _expand(tower, row)]
+    return _from_rows(profile, _join(profile, [
+        [b[i] for b in bases]
+        + [expanded[i][c:c + m_hat] for c in range(0, t2 * m_hat, m_hat)]
+        for i in range(m_last)]))
 
 
 def construct_msrd111_ext(field: Field, m: int, s: int) -> LinearCode:
@@ -287,34 +256,25 @@ def construct_msrd111_ext(field: Field, m: int, s: int) -> LinearCode:
         raise HypothesisFailed(f"needs 1 <= s <= m + C(m,2) + 1 = "
                                f"{m + m * (m - 1) // 2 + 1}")
     profile = profile_create(field, [(1, m)] * (s + 1) + [(1, 1)] * (m + 1))
+    A = [[1 if c == j else 0 for c in range(m)] for j in range(m)]
 
-    def unit_row(j):
-        return Mat(field, [[1 if c == j else 0 for c in range(m)]])
+    def glue(j):
+        # the single-entry blocks: e_j of F^(m+1), one entry per block
+        return [(1 if pos == j else 0,) for pos in range(m + 1)]
 
-    def one_by_one(v):
-        return Mat(field, [[v]])
-
-    A = [unit_row(j) for j in range(m)]
-    gens = []
-    for j in range(m):
-        blocks = [A[0]] + [A[j]] * s
-        blocks += [one_by_one(1 if pos == j else 0) for pos in range(m + 1)]
-        gens.append(MatrixTuple(profile, blocks))
+    gens = [[A[0]] + [A[j]] * s + glue(j) for j in range(m)]
     # the extra generator: leading row e_2, then all of A, then the pair sums
     if s <= m:
         middle = A[:s]
     else:
         n_pairs = max(s - m - 1, 1)
         pairs = list(combinations(range(m), 2))[:n_pairs]
-        B = [Mat(field, [[field.add(x, y) for x, y in
-                          zip(A[a0].rows[0], A[b0].rows[0])]])
+        B = [[field.add(x, y) for x, y in zip(A[a0], A[b0])]
              for a0, b0 in pairs]
         slots = [B[0]] * (2 if s - m >= 2 else 1) + B[1:]
         middle = A + slots
-    blocks = [A[1]] + middle
-    blocks += [one_by_one(1 if pos == m else 0) for pos in range(m + 1)]
-    gens.append(MatrixTuple(profile, blocks))
-    return code_create(profile, gens)
+    gens.append([A[1]] + middle + glue(m))
+    return _from_rows(profile, _join(profile, gens))
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +298,10 @@ def construct_lifting(field: Field, blocks, deltas, h: int,
     """
     blocks = [(int(n), int(m)) for n, m in blocks]
     profile = profile_create(field, blocks)
-    deltas = profile.from_user_order([int(x) for x in deltas])
+    deltas = [int(x) for x in deltas]
     if len(deltas) != profile.t:
         raise BadParameters("one delta per block required")
+    deltas = profile.from_user_order(deltas)
     for (n, m), delta in zip(profile.blocks, deltas):
         if not 1 <= delta <= n:
             raise HypothesisFailed(f"delta = {delta} outside [1, {n}]")
@@ -361,11 +322,9 @@ def construct_lifting(field: Field, blocks, deltas, h: int,
         if len(word) != profile.t:
             raise BadParameters("outer words must have one symbol per block")
         word = profile.from_user_order(list(word))
-        vec = []
-        for (n, m), rows, a in zip(profile.blocks, inner, word):
-            vec += linear_combination(tower.coords(a), rows, n * m, field)
-        gens.append(vec)
-    code = LinearCode(profile, _rref_rows(gens, field)[0])
+        gens.append([linear_combination(tower.coords(a), rows, n * m, field)
+                     for (n, m), rows, a in zip(profile.blocks, inner, word)])
+    code = _from_rows(profile, _join(profile, gens))
     if code.k != len(gens):
         raise BadParameters("outer generators were dependent over F_q")
     bound = sum(sorted(deltas)[:outer_distance])

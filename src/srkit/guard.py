@@ -16,16 +16,25 @@ SUBSPACE_GUARD = 1 << 28         # subspace streams
 MAX_DISTRIBUTION_KEYS = 10 ** 7  # support-distribution dictionaries
 
 
+def _decimal(text: str) -> int:
+    """A non-negative integer written in ASCII decimal digits only, so no
+    sign, space or other script's digits; ValueError otherwise."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def max_enum() -> int:
     """SRKIT_MAX_ENUM, a non-negative decimal integer, if set and not empty."""
     value = os.environ.get("SRKIT_MAX_ENUM")
     if not value:
         return DEFAULT_MAX_ENUM
-    if not (value.isascii() and value.isdigit()):
+    try:
+        return _decimal(value)
+    except ValueError:
         raise BadParameters(
             f"SRKIT_MAX_ENUM must be a non-negative decimal integer, "
-            f"not {value!r}")
-    return int(value)
+            f"not {value!r}") from None
 
 
 def check_enum(size, override=False, what="enumeration"):

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 from .errors import AmbientMismatch, SrkitError
 from .field import Field
-from .guard import check_subspaces
+from .guard import _decimal, check_subspaces
 
 
 class Mat:
@@ -72,7 +72,8 @@ def format_mat(m: Mat) -> str:
 
 
 def parse_mat(field: Field, text: str) -> Mat:
-    rows = [[int(x) for x in part.split()] for part in text.strip().split(";")]
+    rows = [[_decimal(x) for x in part.split()]
+            for part in text.strip().split(";")]
     return Mat(field, rows)
 
 

@@ -17,18 +17,27 @@ block order):
 Blocks inside a stanza are separated by exactly one blank line; writing then
 parsing a canonical file is the identity byte for byte.
 
-Each block is written straight from the code's flat rows, and read straight
-into them, through `ambient._cells` in user block order.  Each block line's
-entries are checked once, by `Mat` (through `parse_mat`), then its shape.
+Each block is written straight from the code's flat rows through
+`ambient._cells`, and read straight into them through `ambient._join`, in
+user block order.  Every number is ASCII decimal (`guard._decimal`), and the
+field and dim lines hold exactly their tokens.  Each block line's entries
+are checked once, by `Mat` (through `parse_mat`), then its shape.
 """
 
 from __future__ import annotations
 
-from .ambient import _cells, format_profile, parse_profile, profile_create
-from .code import LinearCode
-from .errors import ParseError
+from .ambient import (
+    _cells,
+    _join,
+    format_profile,
+    parse_profile,
+    profile_create,
+)
+from .code import LinearCode, _from_rows
+from .errors import BadBlock, ParseError
 from .field import field_create
-from .matq import _rref_rows, parse_mat
+from .guard import _decimal
+from .matq import parse_mat
 
 MAGIC = "srcv1"
 
@@ -72,31 +81,34 @@ def parse_src_text(text: str) -> LinearCode:
 
     if take() != MAGIC:
         raise ParseError(f"bad magic, expected {MAGIC!r}", line=1)
-    parts = take("field ").split()
     try:
-        p, k = int(parts[1]), int(parts[2])
-        mod_txt = parts[3]
-        if not mod_txt.startswith("mod="):
+        # exactly four tokens, else the unpacking raises ValueError
+        _, p, k, mod = take("field ").split(" ")
+        if not mod.startswith("mod="):
             raise ValueError
-        mod = [int(c) for c in mod_txt[4:].split(",")]
-        mod.reverse()  # file stores c_k..c_0
-    except (IndexError, ValueError):
+        p, k = _decimal(p), _decimal(k)
+        # the file stores c_k..c_0
+        mod = [_decimal(c) for c in reversed(mod[4:].split(","))]
+    except ValueError:
         raise ParseError("malformed field line", line=2)
     field = field_create(p, k, mod)
-    raw_blocks = parse_profile(take("profile ").removeprefix("profile "))
-    profile = profile_create(field, raw_blocks)
     try:
-        dim = int(take("dim ").split()[1])
-    except (IndexError, ValueError):
+        raw_blocks = parse_profile(take("profile ").removeprefix("profile "))
+        profile = profile_create(field, raw_blocks)
+    except BadBlock as err:
+        raise ParseError(str(err), line=3) from None
+    try:
+        _, dim = take("dim ").split(" ")
+        dim = _decimal(dim)
+    except ValueError:
         raise ParseError("malformed dim line", line=4)
-    cells = profile.to_user_order(_cells(profile))
-    rows = []
+    gens = []
     for i in range(1, dim + 1):
         header = take("gen ")
         if header != f"gen {i}":
             raise ParseError(f"expected 'gen {i}', got {header!r}", line=pos)
-        row = [0] * profile.dim
-        for j, ((n, m), cell) in enumerate(zip(raw_blocks, cells)):
+        blocks = []
+        for j, (n, m) in enumerate(raw_blocks):
             if j > 0:
                 blank = take()
                 if blank != "":
@@ -111,13 +123,11 @@ def parse_src_text(text: str) -> LinearCode:
                 raise ParseError(
                     f"block {j + 1} of gen {i} has shape "
                     f"{mat.nrows}x{mat.ncols}, profile says {n}x{m}", line=pos)
-            for r, values in zip(cell, mat.rows):
-                for c, x in zip(r, values):
-                    row[c] = x
-        rows.append(row)
+            blocks.append(sum(mat.rows, ()))
+        gens.append(profile.from_user_order(blocks))
     if pos != len(lines):
         raise ParseError("trailing content after last generator", line=pos + 1)
-    code = LinearCode(profile, _rref_rows(rows, field)[0])
+    code = _from_rows(profile, _join(profile, gens))
     if code.k != dim:
         raise ParseError(f"generators span dimension {code.k}, header says {dim}")
     return code

@@ -126,3 +126,17 @@ def test_only_ambient_reads_the_flat_layout():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Attribute) and node.attr == "slices"]
     assert found == []
+
+
+def test_only_ambient_and_code_build_tuples():
+    # constructions, the reader and every derived code build flat rows and
+    # reduce them once: only ambient and code build matrix tuples or span
+    # them into a code
+    found = [f"{path.name}:{node.lineno} {name}"
+             for path in sorted(SRC.glob("*.py"))
+             if path.name not in ("ambient.py", "code.py")
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)
+             for name in _names(node.func)
+             if name in ("MatrixTuple", "code_create")]
+    assert found == []

@@ -64,6 +64,23 @@ class TestSrcFormat:
          "line 8: block 2 of gen 1 has shape 1x3, profile says 1x2"),
         (8, "", "line 8: block 2 of gen 1 has shape 1x0, profile says 1x2"),
         (7, None, "line 7: expected blank line between blocks"),
+        # numbers are ASCII decimal only: no other script's digits, no sign
+        (6, "\u0661 0;0 0", "line 6: malformed matrix '\u0661 0;0 0'"),
+        (6, "\uff11 0;0 0", "line 6: malformed matrix '\uff11 0;0 0'"),
+        (6, "1 0;0 +0", "line 6: malformed matrix '1 0;0 +0'"),
+        (2, "field \uff13 1 mod=1,0", "line 2: malformed field line"),
+        (2, "field 3 +1 mod=1,0", "line 2: malformed field line"),
+        (2, "field 3 1 mod=1,\u0660", "line 2: malformed field line"),
+        (2, "field 3 1 mod=1,0 junk", "line 2: malformed field line"),
+        (2, "field 3  1 mod=1,0", "line 2: malformed field line"),
+        (3, "profile \uff12x2,1x2x3",
+         "line 3: cannot parse block '\uff12x2'"),
+        (3, "profile 2x2,1x2x+3", "line 3: cannot parse block '1x2x+3'"),
+        (3, "profile 3x2,1x2x3",
+         "line 3: block 3x2 has more rows than columns"),
+        (4, "dim 4 junk", "line 4: malformed dim line"),
+        (4, "dim +4", "line 4: malformed dim line"),
+        (4, "dim \u0664", "line 4: malformed dim line"),
     ])
     def test_each_rejection_names_its_line(self, line, text, message,
                                            tmp_path, capsys):
