@@ -176,26 +176,21 @@ class MatrixTuple:
         return "(" + " | ".join(repr(b) for b in self.blocks) + ")"
 
     def __add__(self, other):
-        self._check(other)
-        F = self.profile.field
-        return MatrixTuple(self.profile,
-                           [Mat(F, [[F.add(x, y) for x, y in zip(r1, r2)]
-                                    for r1, r2 in zip(a.rows, b.rows)])
-                            for a, b in zip(self.blocks, other.blocks)],
-                           check=False)
+        return self._entrywise(other, self.profile.field.add)
 
     def __sub__(self, other):
-        self._check(other)
+        return self._entrywise(other, self.profile.field.sub)
+
+    def _entrywise(self, other, op):
+        """`op` applied entry by entry to two tuples of one profile."""
+        if not isinstance(other, MatrixTuple) or other.profile != self.profile:
+            raise ProfileMismatch("tuples live in different ambient spaces")
         F = self.profile.field
         return MatrixTuple(self.profile,
-                           [Mat(F, [[F.sub(x, y) for x, y in zip(r1, r2)]
+                           [Mat(F, [list(map(op, r1, r2))
                                     for r1, r2 in zip(a.rows, b.rows)])
                             for a, b in zip(self.blocks, other.blocks)],
                            check=False)
-
-    def _check(self, other):
-        if not isinstance(other, MatrixTuple) or other.profile != self.profile:
-            raise ProfileMismatch("tuples live in different ambient spaces")
 
 
 def flatten(x: MatrixTuple) -> list[int]:

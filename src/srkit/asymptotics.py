@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DomainError
 from .matq import count_matrices_of_rank
@@ -127,6 +128,7 @@ def asymptotic_total_distance(eta: float, scenario: AsymptoticScenario) -> float
     return 1.0 - eta / cutoff
 
 
+@lru_cache(maxsize=None)
 def average_rank_weight(n: int, m: int, q: int) -> Fraction:
     """Mean rank of a uniformly random n x m matrix, exact."""
     total = sum(s * count_matrices_of_rank(n, m, s, q) for s in range(n + 1))

@@ -124,13 +124,8 @@ def sphere_covering_dimension(profile: Profile, d: int) -> int:
     """Smallest k with q^k >= ceil(|Pi| / V_{d-1}); such a linear code exists."""
     _check_d(profile, d)
     vol = sphere_volume(profile, d - 1)
-    target = -(-profile.size() // vol)  # ceiling
-    q = profile.field.q
-    k, power = 0, 1
-    while power < target:
-        power *= q
-        k += 1
-    return k
+    target = -(-profile.size() // vol)  # ceiling, >= 2 since d - 1 < N
+    return linear_version(target - 1, profile.field.q) + 1
 
 
 @dataclass(frozen=True)

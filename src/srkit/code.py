@@ -28,10 +28,10 @@ before either starts (see `minimum_distance`):
 The walk is preferred when q^k is below `_WORDS_PER_UNIT` times the lattice
 cost; the other route runs when only it fits the enumeration guard
 (`guard.walk_runs`).
-The walk and the search list their rows with one base-p counter (`_count`).
-`shorten` and `distributions.brute_distributions`, which ranks every
-subspace tuple, build their constraints with the search's helper
-(`_constraints`).
+The walk and the search list their rows with one base-p counter (`_count`)
+whose steps are running sums of row lists (`_running`).  `shorten` and
+`distributions.brute_distributions`, which ranks every subspace tuple,
+build their constraints with the search's helper (`_constraints`).
 
 Every kernel here holds rows in the representation `matq._row_ops` picks:
 over GF(2) a row is one int, ranked by the packed insert
@@ -39,8 +39,8 @@ over GF(2) a row is one int, ranked by the packed insert
 bitmasks over the basis.  `codewords` reads its rows back as codes with the
 representation's `unpack`.
 
-Every derived code comes from one primitive, `_subcode`: keep the words whose
-coefficient vectors meet some constraint rows over F^k, then read them at
+Every derived code comes from one primitive, `_subcode`, one RREF: keep the
+words whose coefficient vectors meet some constraint rows over F^k, read at
 chosen positions as words of a new profile.  `shorten`, the MSRD row and
 column shortenings, row puncturing, block reordering (`order=`) and the
 mixed-m distance-2 intersection of `constructions.construct_d2` all use it.
@@ -76,7 +76,6 @@ from .matq import (
     _rref_rows,
     gaussian_binomial,
     in_rref_span,
-    linear_combination,
     nullspace,
     orthogonal_complement,
 )
@@ -161,21 +160,19 @@ def _words(code: LinearCode, ops, columns=False, override=False):
     lowest nonzero digit is at place P raises that digit by one and turns
     every lower digit from p-1 to 0, adding -(p-1) = 1 times each lower
     b, so the word gains S_P = b_0 + ... + b_P: one precomputed word per
-    step.  Over GF(2) that is an XOR of a suffix sum of the basis rows.
+    step, a running sum of the b_P's cuts.  Over GF(2) that is an XOR of a
+    suffix sum of the basis rows.
     """
     check_enum(code.size(), override, what="codeword enumeration")
     F = code.field
-    p, D = F.p, code.profile.dim
     cuts = [cut for cell in _cells(code.profile)
             for cut in (zip(*cell) if columns else cell)]
     word = [ops.pack([0] * len(cut)) for cut in cuts]
-    steps = []
-    total = [0] * D
-    for g in reversed(code._flat):
-        for t in range(F.k):
-            total = linear_combination((1, p ** t), (total, g), D, F)
-            steps.append([ops.pack([total[j] for j in cut]) for cut in cuts])
-    yield from _count(word, steps, code.size(), p, ops.add)
+    units = [[ops.pack([F.mul(x, g[j]) for j in cut]) for cut in cuts]
+             for g in reversed(code._flat)
+             for x in (F.p ** t for t in range(F.k))]
+    yield from _count(word, _running(units, ops.add), code.size(), F.p,
+                      ops.add)
 
 
 def _count(start, steps, size, p, add):
@@ -190,6 +187,12 @@ def _count(start, steps, size, p, add):
             place += 1
         start = list(map(add, start, steps[place]))
         yield start
+
+
+def _running(units, add):
+    """The running sums units[0], units[0] + units[1], ... of row lists,
+    entry by entry: the steps of a base-p counter (`_count`)."""
+    return list(accumulate(units, lambda s, u: list(map(add, s, u))))
 
 
 def _spans(sizes):
@@ -382,11 +385,7 @@ def _level(unit, pivot, free, q, add):
     itertools.product order over the free entries, as the `_count` that
     lists their constraint rows from `unit`; `_words`' base-p counter, one
     place per power x^t of each free entry, the last entry lowest."""
-    steps, total = [], None
-    for c in reversed(free):
-        for rows in unit[c]:
-            total = rows if total is None else list(map(add, total, rows))
-            steps.append(total)
+    steps = _running([rows for c in reversed(free) for rows in unit[c]], add)
     return unit[pivot][0], steps, q ** len(free)
 
 
@@ -485,21 +484,13 @@ class SystematicForm:
 
 
 def _tail_head_positions(profile: Profile, j: int, delta: int):
-    ns, ms = profile.ns, profile.ms
+    """Row a of block i is a tail row when i > j-1, or i = j-1 and a < n_j -
+    delta; every other row is a head row."""
     tail, head = [], []
-    for i in range(profile.t):
-        ni_prime = ns[i] - delta if i == j - 1 else ns[i]
-        if i >= j - 1:
-            for a in range(ni_prime):
-                for b in range(ms[i]):
-                    tail.append((i, a, b))
-            for a in range(ni_prime, ns[i]):
-                for b in range(ms[i]):
-                    head.append((i, a, b))
-        else:
-            for a in range(ns[i]):
-                for b in range(ms[i]):
-                    head.append((i, a, b))
+    for i, (n, m) in enumerate(profile.blocks):
+        for a in range(n):
+            is_tail = i > j - 1 or (i == j - 1 and a < n - delta)
+            (tail if is_tail else head).extend((i, a, b) for b in range(m))
     return tuple(tail), tuple(head)
 
 
@@ -540,13 +531,15 @@ def _subcode(code: LinearCode, constraints, profile: Profile,
 
     Every derived code is one: shortening, the MSRD shortenings and
     puncturing, block reordering and the mixed-m distance-2 intersection.
+    One RREF of [constraint values | entries at `positions`] per generator:
+    the rows pivoted past the constraint columns are the canonical basis.
     """
-    F = code.field
-    rows = code._flat
-    if constraints:
-        rows = [linear_combination(c, rows, code.profile.dim, F)
-                for c in nullspace(Mat(F, constraints)).basis]
-    return _from_rows(profile, [[r[c] for c in positions] for r in rows])
+    r = len(constraints)
+    rows = [[c[g] for c in constraints] + [vec[p] for p in positions]
+            for g, vec in enumerate(code._flat)]
+    rows, pivots = _rref_rows(rows, code.field)
+    return LinearCode(profile, [row[r:] for row, p in zip(rows, pivots)
+                                if p >= r])
 
 
 def _cut(code: LinearCode, vanish, cells) -> LinearCode:

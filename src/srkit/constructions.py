@@ -9,6 +9,8 @@ through `code._from_rows`.  `_expand` writes a vector over GF(q^m) as the m
 rows of its multiples beta_l * vec in tower coordinates (the Gabidulin
 codes, the MDS lift and the expanded MDS part of `construct_combine`), and
 `ambient._join` places one part per block, row-major, into a flat row.
+The mixed-m distance-2 code is one derived code of the widened equal-m
+code, `code._cut`: the words whose extra columns vanish, read at the rest.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from .ambient import Profile, _cells, _join, profile_create
 from .bounds import induced_bounds
 from .code import (
     LinearCode,
+    _cut,
     _from_rows,
-    _subcode,
     dual,
     minimum_distance,
     zero_code,
@@ -128,21 +130,15 @@ def construct_d2(field: Field, blocks) -> D2Result:
     if len(set(ms)) == 1:
         return _construct_d2_equal_m(field, profile)
     # mixed m: build in the widened space, keep the words whose extra
-    # columns vanish, then cut those columns
+    # columns vanish and read them at the other columns; `_cut` checks the
+    # dimension, k - |cut| = sum n_i m_i - m_1
     m1 = ms[0]
     wide = _construct_d2_equal_m(
         field, profile_create(field, [(n, m1) for n, _ in profile.blocks])).code
-    keep, cut = [], []
-    for cell, (_, m2) in zip(_cells(wide.profile), profile.blocks):
-        for r in cell:
-            keep += r[:m2]
-            cut += r[m2:]
-    code = _subcode(wide, [[vec[c] for vec in wide._flat] for c in cut],
-                    profile, keep)
-    expect = sum(m * n for n, m in profile.blocks[1:]) + ms[0] * (profile.ns[0] - 1)
-    if code.k != expect:
-        raise BadParameters("distance-2 intersection lost rank (internal error)")
-    return D2Result(code, None)
+    cells = _cells(wide.profile)
+    cut = [c for cell, m in zip(cells, ms) for row in cell for c in row[m:]]
+    kept = [[row[:m] for row in cell] for cell, m in zip(cells, ms)]
+    return D2Result(_cut(wide, cut, profile.to_user_order(kept)), None)
 
 
 def _construct_d2_equal_m(field: Field, profile: Profile) -> D2Result:

@@ -1,10 +1,11 @@
 """Weight distributions, their MacWilliams transforms, and the MSRD
 support-distribution criteria.
 
-The transforms' kernels factor across blocks, K(u, h) = prod_i K_i(u_i, h_i),
-so one kernel contracts the counts block by block: |L| * sum |L_i|
-big-integer multiplies, where L_i is block i's lattice (its subspaces, or
-its ranks 0..n_i) and L is their product.
+The transforms read the profile from the distribution they are given.  Their
+kernels factor across blocks, K(u, h) = prod_i K_i(u_i, h_i), so one kernel
+contracts the counts block by block: |L| * sum |L_i| big-integer multiplies,
+where L_i is block i's lattice (its subspaces, or its ranks 0..n_i) and L
+is their product.
 
 The distributions of a code have two exact routes, picked per call by a
 cost known before either starts (see `brute_distributions`):
@@ -410,14 +411,18 @@ def _support_kernel(m, table):
     return _Columns(column)
 
 
-def macwilliams_support(dist: SupportDistribution, cardinality: int,
-                        profile: Profile | None = None,
-                        override=False) -> SupportDistribution:
-    """Support distribution of the dual code, from the one of the code."""
-    profile = dist.profile if profile is None else profile
+def _counted_profile(dist, cardinality):
+    """dist.profile, once dist is checked to count `cardinality` words."""
     if dist.total() != cardinality:
         raise IncompleteDistribution(
             f"distribution sums to {dist.total()}, expected {cardinality}")
+    return dist.profile
+
+
+def macwilliams_support(dist: SupportDistribution, cardinality: int,
+                        override=False) -> SupportDistribution:
+    """Support distribution of the dual code, from the one of the code."""
+    profile = _counted_profile(dist, cardinality)
     tables = _lattice_tables(profile, override)
     by_shape = {(n, m): _support_kernel(m, tables[n])
                 for n, m in set(profile.blocks)}
@@ -440,13 +445,10 @@ def _ranklist_kernel(n, m, q):
             for h in range(n + 1)]
 
 
-def macwilliams_ranklist(dist: RankListDistribution, cardinality: int,
-                         profile: Profile | None = None) -> RankListDistribution:
+def macwilliams_ranklist(dist: RankListDistribution,
+                         cardinality: int) -> RankListDistribution:
     """Rank-list distribution of the dual code."""
-    profile = dist.profile if profile is None else profile
-    if dist.total() != cardinality:
-        raise IncompleteDistribution(
-            f"distribution sums to {dist.total()}, expected {cardinality}")
+    profile = _counted_profile(dist, cardinality)
     q = profile.field.q
     axes = [range(n + 1) for n in profile.ns]
     values = _product_transform(
@@ -485,9 +487,14 @@ def binomial_moment_check(code: LinearCode, override=False) -> bool:
 
 def f_ell(u, ell: int, q: int) -> int:
     """Alternating lattice sum over v <= u with |v| = ell (exact integer)."""
-    acc = poly_product([_signed_power(q, ui - v) * gaussian_binomial(ui, v, q)
-                        for v in range(ui + 1)] for ui in u)
+    acc = _alternating(u, q)
     return acc[ell] if 0 <= ell < len(acc) else 0
+
+
+def _alternating(u, q):
+    """[f_0(u), f_1(u), ...], the product that `f_ell` and `omega` read."""
+    return poly_product([_signed_power(q, ui - v) * gaussian_binomial(ui, v, q)
+                         for v in range(ui + 1)] for ui in u)
 
 
 def msrd_support_distribution(profile: Profile, d: int, u) -> int:
@@ -504,9 +511,9 @@ def omega(shape, m: int, q: int, d: int, u) -> int:
     if len(u) != len(tuple(shape)) or any(ui > n or ui < 0
                                           for ui, n in zip(u, shape)):
         raise ValueError(f"dim vector {u} does not fit shape {tuple(shape)}")
-    weight = sum(u)
-    return sum((q ** (m * (ell - d + 1)) - 1) * f_ell(u, ell, q)
-               for ell in range(d, weight + 1))
+    acc = _alternating(u, q)
+    return sum((q ** (m * (ell - d + 1)) - 1) * acc[ell]
+               for ell in range(max(d, 0), len(acc)))
 
 
 def omega_hat(shape, m: int, q: int, d: int, u) -> int:

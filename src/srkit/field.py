@@ -106,9 +106,7 @@ def _padd(a, b, p):
 
 
 def _psub(a, b, p):
-    n = max(len(a), len(b))
-    return _trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-                  for i in range(n)])
+    return _padd(a, [-x for x in b], p)
 
 
 def _pmul(a, b, p):

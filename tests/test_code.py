@@ -14,6 +14,7 @@ from conftest import (
     oracle_combination,
     oracle_derived,
     oracle_min_distance,
+    oracle_ops,
     oracle_rank,
     random_code,
     random_subspace_tuple,
@@ -44,6 +45,7 @@ from srkit.code import (
     _constraints,
     _count,
     _level,
+    _subcode,
     code_create,
     codewords,
     dual,
@@ -516,6 +518,72 @@ class TestShorten:
             lhs = shorten(Pi, u.dual())
             rhs = dual(shorten(Pi, u))
             assert lhs == rhs
+
+
+def _random_blocks(rng, most_rows):
+    """1 to 3 random blocks of at most `most_rows` rows and 3 columns."""
+    blocks = []
+    for _ in range(rng.randint(1, 3)):
+        n = rng.randint(1, most_rows)
+        blocks.append((n, rng.randint(n, 3)))
+    return blocks
+
+
+class TestSubcode:
+    """`_subcode` against a brute filter of `codewords`: the words whose
+    coefficient vectors (read at the canonical basis' pivots) meet every
+    constraint row, read at the positions."""
+
+    @pytest.mark.parametrize("q", ORDERS)
+    @pytest.mark.parametrize("case", ["none", "random", "dependent", "k=0"])
+    def test_brute_filter_oracle(self, q, case):
+        rng = random.Random(f"subcode-{q}-{case}")
+        F = field_from_order(q)
+        add, mul = oracle_ops(q)
+        for _ in range(8):
+            blocks = _random_blocks(rng, 3)
+            dim = sum(n * m for n, m in blocks)
+            most = max(k for k in range(dim + 1) if q ** k <= 729)
+            C = random_code(rng, F, blocks, 0 if case == "k=0" else
+                            rng.randint(1, most))
+            k = C.k
+            rows = [[rng.randrange(q) for _ in range(k)]
+                    for _ in range(rng.randint(1, 3))]
+            if case == "none":
+                rows = []
+            elif case == "dependent":
+                # a repeated row and a combination of two others
+                r, s = rows[0], [rng.randrange(q) for _ in range(k)]
+                rows = [r, s, r, oracle_combination(
+                    (rng.randrange(q), rng.randrange(q)), (r, s), q)]
+                rng.shuffle(rows)
+            target = _random_blocks(rng, 2)
+            while sum(n * m for n, m in target) > dim:
+                target.pop()
+            if not target:
+                target = [(1, 1)]
+            profile = profile_create(F, target)
+            positions = rng.sample(range(dim), profile.dim)
+            pivots = [vec.index(1) for vec in C._flat]
+
+            def meets(word):
+                coeffs = [word[p] for p in pivots]
+                return all(_dot(coeffs, row, add, mul) == 0 for row in rows)
+
+            kept = {tuple(word[p] for p in positions)
+                    for word in map(flatten, codewords(C)) if meets(word)}
+            out = _subcode(C, rows, profile, positions)
+            assert out.profile == profile
+            assert {tuple(flatten(w)) for w in codewords(out)} == kept
+            assert out == code_create(
+                profile, [unflatten(profile, list(w)) for w in kept])
+
+
+def _dot(u, v, add, mul):
+    out = 0
+    for x, y in zip(u, v):
+        out = add(out, mul(x, y))
+    return out
 
 
 class TestEquivalentDistanceCriterion:

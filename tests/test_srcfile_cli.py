@@ -81,6 +81,11 @@ class TestSrcFormat:
         (4, "dim 4 junk", "line 4: malformed dim line"),
         (4, "dim +4", "line 4: malformed dim line"),
         (4, "dim \u0664", "line 4: malformed dim line"),
+        # the gen number is matched as written, and no header line may
+        # start with a space
+        (5, "gen 01", "line 5: expected 'gen 1', got 'gen 01'"),
+        (3, " profile 2x2,1x2x3",
+         "line 3: expected 'profile ', got ' profile 2x2,1x2x3'"),
     ])
     def test_each_rejection_names_its_line(self, line, text, message,
                                            tmp_path, capsys):
@@ -94,6 +99,33 @@ class TestSrcFormat:
         path.write_text(broken)
         assert main(["check", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    # msrd_d4_gf3.src spelled as the writer never writes it: each row still
+    # reads as the fixture's code, and the writer gives the fixture's bytes
+    @pytest.mark.parametrize("line, text", [
+        # leading zeros in entries and in the header numbers
+        (6, "01 0;0 0"),
+        (2, "field 3 01 mod=1,0"),
+        (2, "field 03 1 mod=01,00"),
+        (3, "profile 02x2,1x2x03"),
+        (4, "dim 04"),
+        # any run of spaces or tabs in a block line
+        (6, "1  0;0 0"),
+        (6, " 1 0;0 0"),
+        (6, "1\t0;0 0"),
+        (6, "1 0 ; 0 0 "),
+        # an upper-case X, written-out repeats, spaces around the block list
+        (3, "profile 2X2,1x2,1x2x2"),
+        (3, "profile 2x2,1X2,1x2,1x2"),
+        (3, "profile  2x2,1x2x3 "),
+    ])
+    def test_writer_normalizes_each_accepted_spelling(self, line, text):
+        fixture = (FIXTURES / "msrd_d4_gf3.src").read_text()
+        lines = fixture.split("\n")
+        lines[line - 1] = text
+        code = parse_src_text("\n".join(lines))
+        assert code == parse_src_text(fixture)
+        assert write_src_text(code) == fixture
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(small_codes(ORDERS))
