@@ -123,8 +123,8 @@ def format_profile(blocks) -> str:
 def parse_profile(text: str):
     """Inverse of format_profile; returns a list of (n, m) pairs."""
     blocks = []
-    for token in text.strip().split(","):
-        parts = token.lower().split("x")
+    for token in text.split(","):
+        parts = token.strip().lower().split("x")
         try:
             if len(parts) not in (2, 3):
                 raise ValueError

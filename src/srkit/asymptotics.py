@@ -4,7 +4,10 @@ The only floating-point module in the package.  The entropy H(rho) behind
 the sphere curves is a convex minimum over w = log z in [-40, 0], solved by
 safeguarded Newton (bisection backs up any step that leaves the bracket) on
 log-sum-exp sums, so huge integer coefficients never overflow; H = 1
-exactly at the w = 0 end.
+exactly at the w = 0 end.  `emit_series` solves each sphere curve in one
+pass: the distinct rho values its requested sides read, ascending, each
+Newton run starting at the previous minimizer.  Only per-shape constants
+are cached across calls.
 """
 
 from __future__ import annotations
@@ -119,13 +122,20 @@ def asymptotic_singleton(eta: float) -> float:
 def asymptotic_total_distance(eta: float, scenario: AsymptoticScenario) -> float:
     """1 - eta (1 - 1/(n q^m))^{-1} with n the (max) stabilized row count;
     zero beyond the cutoff."""
-    if not 0 <= eta <= 1:
-        raise DomainError(f"eta must lie in [0, 1], got {eta}")
-    n = scenario.n_hat if scenario.constant_tail else scenario.n_star
-    cutoff = 1.0 - 1.0 / (n * scenario.q ** scenario.m_hat)
-    if eta > cutoff:
-        return 0.0
-    return 1.0 - eta / cutoff
+    return _total_distance(scenario)(eta)
+
+
+def _total_distance(scenario):
+    # n_star is n_hat when the tail is constant
+    cutoff = 1.0 - 1.0 / (scenario.n_star * scenario.q ** scenario.m_hat)
+
+    def value(eta):
+        if not 0 <= eta <= 1:
+            raise DomainError(f"eta must lie in [0, 1], got {eta}")
+        if eta > cutoff:
+            return 0.0
+        return 1.0 - eta / cutoff
+    return value
 
 
 @lru_cache(maxsize=None)
@@ -133,6 +143,16 @@ def average_rank_weight(n: int, m: int, q: int) -> Fraction:
     """Mean rank of a uniformly random n x m matrix, exact."""
     total = sum(s * count_matrices_of_rank(n, m, s, q) for s in range(n + 1))
     return Fraction(total, q ** (n * m))
+
+
+@lru_cache(maxsize=None)
+def _shape(n, m, q):
+    """Per-shape constants of the entropy solve: the average rank eps as a
+    float, log c_s for s = 0..n (c_s the n x m matrices of rank s) and
+    log q^{nm}."""
+    log_counts = tuple(math.log(count_matrices_of_rank(n, m, s, q))
+                       for s in range(n + 1))
+    return float(average_rank_weight(n, m, q)), log_counts, n * m * math.log(q)
 
 
 def _tilt(log_counts, w):
@@ -156,55 +176,75 @@ def sumrank_entropy(rho: float, n: int, m: int, q: int) -> float:
     objective g(w) = log f(e^w) - rho w has g'(w) = E_w[s] - rho and
     g''(w) = Var_w[s] >= 0 for s ~ c_s e^{sw}, and w is clamped to
     [-40, 0].  If g'(0) = eps - rho <= 0 (eps the average rank), w = 0
-    and H = log_{q^{nm}} f(1) = 1 exactly.  Otherwise Newton runs from w = -40
-    on the logit log(E_w[s] / (n - E_w[s])) = log(rho / (n - rho)), which
-    is close to linear in w at both ends; a step that leaves the current
-    bracket is replaced by the plain Newton step on g', and by bisection if
-    that leaves too.  It stops at the clamp or once g'^2 / (2 g'') is below
-    _H_TOL in units of H.  H is capped at 1.
+    and H = log_{q^{nm}} f(1) = 1 exactly.  Otherwise Newton runs from
+    w = -40, as the one-rho call of `_entropies`.
     """
-    eps = float(average_rank_weight(n, m, q))
-    if rho < 0 or rho > eps + 1e-12:
-        raise DomainError(f"rho must lie in [0, {eps}], got {rho}")
-    if rho >= eps:
-        return 1.0
-    log_counts = [math.log(count_matrices_of_rank(n, m, s, q))
-                  for s in range(n + 1)]
-    scale = n * m * math.log(q)
-    lo, hi, w = _LOG_Z_LO, 0.0, _LOG_Z_LO
-    for _ in range(_NEWTON_CAP):
-        log_f, mean, rest, var = _tilt(log_counts, w)
-        g = log_f - rho * w
-        if mean >= rho:
-            hi = w
-        else:
-            lo = w
-        if hi == _LOG_Z_LO or (mean - rho) ** 2 <= 2 * var * _H_TOL * scale:
-            break
-        steps = ()
-        if var > 0:  # mass on two ranks at least, so mean > 0 and rest > 0
-            logit = math.log(rho / (n - rho)) - math.log(mean / rest)
-            steps = (logit * mean * rest / (n * var), (rho - mean) / var)
-        w = next((w + d for d in steps if lo < w + d < hi), (lo + hi) / 2)
-    return min(1.0, g / scale)
+    return _entropies((rho,), n, m, q)[rho]
+
+
+def _entropies(rhos, n, m, q):
+    """{rho: H(rho)} over the distinct rhos, solved in one ascending pass.
+
+    The minimizer grows with rho, so each Newton run starts at the previous
+    rho's minimizer (the first at w = -40) inside the bracket [-40, 0].
+    Newton works on the logit log(E_w[s] / (n - E_w[s])) = log(rho / (n -
+    rho)), which is close to linear in w at both ends; a step that leaves
+    the current bracket is replaced by the plain Newton step on g', and by
+    bisection if that leaves too.  A run stops at the clamp or once
+    g'^2 / (2 g'') is below _H_TOL in units of H.  H is capped at 1.
+    """
+    eps, log_counts, scale = _shape(n, m, q)
+    table = {}
+    w = _LOG_Z_LO
+    for rho in sorted(set(rhos)):
+        if rho < 0 or rho > eps + 1e-12:
+            raise DomainError(f"rho must lie in [0, {eps}], got {rho}")
+        if rho >= eps:
+            table[rho] = 1.0
+            continue
+        lo, hi = _LOG_Z_LO, 0.0
+        for _ in range(_NEWTON_CAP):
+            log_f, mean, rest, var = _tilt(log_counts, w)
+            g = log_f - rho * w
+            if mean >= rho:
+                hi = w
+            else:
+                lo = w
+            if hi == _LOG_Z_LO or (mean - rho) ** 2 <= 2 * var * _H_TOL * scale:
+                break
+            steps = ()
+            if var > 0:  # mass on two ranks at least, so mean > 0 and rest > 0
+                logit = math.log(rho / (n - rho)) - math.log(mean / rest)
+                steps = (logit * mean * rest / (n * var), (rho - mean) / var)
+            w = next((w + d for d in steps if lo < w + d < hi), (lo + hi) / 2)
+        table[rho] = min(1.0, g / scale)
+    return table
 
 
 _SPHERE_PAIR = ("sphere-packing-upper", "sphere-covering-lower")
 
 
-def _sphere_bound(name: str, eta: float, n: int, m: int, q: int) -> float:
-    """One side of the sphere pair: 1 - H(eta n / 2) for packing, and
-    1 - H(min(eta n, eps)) for covering."""
-    eps = float(average_rank_weight(n, m, q))
+def _sphere_rho(name: str, eta: float, n: int, eps: float) -> float:
+    """The rho one side of the sphere pair reads at eta: eta n / 2 for
+    packing, min(eta n, eps) for covering."""
     if eta <= 0 or eta > eps / n + 1e-12:
         raise DomainError(f"eta must lie in (0, {eps / n}]")
-    rho = eta * n / 2 if name == "sphere-packing-upper" else min(eta * n, eps)
-    return 1.0 - sumrank_entropy(rho, n, m, q)
+    return eta * n / 2 if name == "sphere-packing-upper" else min(eta * n, eps)
+
+
+def _sphere_bound(name: str, n: int, m: int, q: int, entropies=None):
+    """eta -> one side of the sphere pair, 1 - H(_sphere_rho(eta)); H is
+    read from the table `entropies` if given, else solved cold."""
+    eps = _shape(n, m, q)[0]
+    if entropies is None:
+        return lambda eta: 1.0 - sumrank_entropy(
+            _sphere_rho(name, eta, n, eps), n, m, q)
+    return lambda eta: 1.0 - entropies[_sphere_rho(name, eta, n, eps)]
 
 
 def asymptotic_sphere_pack_cover(eta: float, n: int, m: int, q: int):
     """(upper, lower) rate bounds from packing and covering spheres."""
-    return tuple(_sphere_bound(name, eta, n, m, q) for name in _SPHERE_PAIR)
+    return tuple(_sphere_bound(name, n, m, q)(eta) for name in _SPHERE_PAIR)
 
 
 # ---------------------------------------------------------------------------
@@ -224,40 +264,86 @@ BOUND_KEYS = (
 )
 
 
-def evaluate_bound(name: str, eta: float, scenario: AsymptoticScenario):
-    """Value of one asymptotic bound at eta, or None outside its domain.
+def _sphere_shape(scenario: AsymptoticScenario):
+    """(n, m, q) of the one block shape the entropy pair needs."""
+    if scenario.m_head or not scenario.constant_tail:
+        raise DomainError("entropy bounds need equal block shapes")
+    return scenario.n_hat, scenario.m_hat, scenario.q
+
+
+def _bound(name: str, scenario: AsymptoticScenario, entropies=None):
+    """eta -> one asymptotic bound; DomainError outside its domain.
 
     The entropy-based pair requires equal block shapes (no heads); there is
     no mixed-shape sphere bound.
     """
-    q, m = scenario.q, scenario.m_hat
-    m_top = scenario.m_head[0] if scenario.m_head else scenario.m_hat
-    try:
-        # asymptotically the projection argument gives nothing beyond Singleton
-        if name in ("singleton", "projective-sphere-packing"):
-            return asymptotic_singleton(eta)
-        if name == "total-distance":
-            return asymptotic_total_distance(eta, scenario)
-        if name in _SPHERE_PAIR:
-            if scenario.m_head or not scenario.constant_tail:
-                raise DomainError("entropy bounds need equal block shapes")
-            return _sphere_bound(name, eta, scenario.n_hat, m, q)
-        if name.startswith("induced-"):
-            return asymptotic_induced(eta, q, m_top, name.removeprefix("induced-"))
-    except DomainError:
-        return None
+    # asymptotically the projection argument gives nothing beyond Singleton
+    if name in ("singleton", "projective-sphere-packing"):
+        return asymptotic_singleton
+    if name == "total-distance":
+        return _total_distance(scenario)
+    if name in _SPHERE_PAIR:
+        return _sphere_bound(name, *_sphere_shape(scenario), entropies)
+    if name.startswith("induced-"):
+        q = scenario.q
+        m_top = scenario.m_head[0] if scenario.m_head else scenario.m_hat
+        which = name.removeprefix("induced-")
+        return lambda eta: asymptotic_induced(eta, q, m_top, which)
     raise ValueError(f"unknown bound {name!r}")
 
 
+def evaluate_bound(name: str, eta: float, scenario: AsymptoticScenario):
+    """Value of one asymptotic bound at eta, or None outside its domain.
+
+    A sphere bound is solved cold, for this eta alone.
+    """
+    try:
+        return _bound(name, scenario)(eta)
+    except DomainError:
+        return None
+
+
+def _series_entropies(scenario, bounds, grid):
+    """H at every rho the requested sphere sides read on the grid, from one
+    `_entropies` pass; None when no side is requested or the shapes differ."""
+    sides = [name for name in _SPHERE_PAIR if name in bounds]
+    if not sides:
+        return None
+    try:
+        n, m, q = _sphere_shape(scenario)
+    except DomainError:
+        return None
+    eps = _shape(n, m, q)[0]
+    rhos = []
+    for name in sides:
+        for eta in grid:
+            try:
+                rhos.append(_sphere_rho(name, eta, n, eps))
+            except DomainError:
+                pass
+    return _entropies(rhos, n, m, q)
+
+
 def emit_series(scenario: AsymptoticScenario, bounds, grid) -> str:
-    """CSV text with columns eta,bound,value; bound-major, eta ascending."""
+    """CSV text with columns eta,bound,value; bound-major, eta ascending.
+
+    Every value equals `evaluate_bound`'s, byte for byte once formatted;
+    the sphere sides read H from one warm-started `_entropies` pass.
+    """
+    entropies = _series_entropies(scenario, bounds, grid)
+    etas = [(eta, f"{eta:.10f}") for eta in grid]
     lines = ["eta,bound,value"]
     for name in bounds:
-        for eta in grid:
-            value = evaluate_bound(name, eta, scenario)
-            if value is None:
+        try:
+            value_at = _bound(name, scenario, entropies)
+        except DomainError:
+            continue
+        for eta, eta_text in etas:
+            try:
+                value = value_at(eta)
+            except DomainError:
                 continue
-            lines.append(f"{eta:.10f},{name},{value:.10f}")
+            lines.append(f"{eta_text},{name},{value:.10f}")
     return "\n".join(lines) + "\n"
 
 

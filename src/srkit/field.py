@@ -559,6 +559,17 @@ def _field_cached(p, k, modulus):
     return Field(p, k, modulus)
 
 
+@lru_cache(maxsize=None)
+def _modulus_fault(p, k, mod):
+    """The error an explicit modulus (normalized mod p) raises, or None:
+    Rabin's test runs once per (p, k, mod), not once per `.src` parse."""
+    if len(mod) != k + 1 or mod[-1] != 1:
+        return DegreeMismatch
+    if not is_irreducible(mod, p):
+        return ReducibleModulus
+    return None
+
+
 def field_create(p: int, k: int = 1, modulus=None) -> Field:
     """Construct (and cache) GF(p^k).
 
@@ -581,10 +592,11 @@ def field_create(p: int, k: int = 1, modulus=None) -> Field:
             mod = _smallest_irreducible(p, k)
     else:
         mod = tuple(int(c) % p for c in modulus)
-        if len(mod) != k + 1 or mod[-1] != 1:
+        fault = _modulus_fault(p, k, mod)
+        if fault is DegreeMismatch:
             raise DegreeMismatch(
                 f"modulus must be monic of degree {k}, got {modulus}")
-        if not is_irreducible(mod, p):
+        if fault is ReducibleModulus:
             raise ReducibleModulus(f"{modulus} is reducible over GF({p})")
     return _field_cached(p, k, mod)
 

@@ -233,13 +233,65 @@ class TestSpherePair:
                 assert repr(got) == repr(want), (name, eta)
 
     def test_only_the_requested_side_is_solved(self, monkeypatch):
-        solves = []
-        solve = asymptotics.sumrank_entropy
-        monkeypatch.setattr(asymptotics, "sumrank_entropy",
-                            lambda *a: solves.append(a) or solve(*a))
+        solved = []
+        solve = asymptotics._entropies
+
+        def spy(*a):
+            table = solve(*a)
+            solved.append(set(table))
+            return table
+        monkeypatch.setattr(asymptotics, "_entropies", spy)
+        n, m, q = 2, 4, 2
+        eps = float(average_rank_weight(n, m, q))
         grid = parse_grid("0:1:0.005")
+        etas = [eta for eta in grid if 0 < eta <= eps / n]
+        rhos = {"sphere-packing-upper": {eta * n / 2 for eta in etas},
+                "sphere-covering-lower": {min(eta * n, eps) for eta in etas}}
         csv = emit_series(SC_WIDE, list(SPHERE_PAIR), grid)
-        assert len(solves) == len(csv.splitlines()) - 1 == 362
+        assert len(csv.splitlines()) - 1 == 362
+        # one pass over the distinct rho values of both sides
+        assert solved == [rhos[SPHERE_PAIR[0]] | rhos[SPHERE_PAIR[1]]]
+        for side, other in (SPHERE_PAIR, SPHERE_PAIR[::-1]):
+            solved.clear()
+            emit_series(SC_WIDE, [side], grid)
+            assert solved == [rhos[side]]
+            assert solved[0].isdisjoint(rhos[other] - rhos[side])
+
+    def test_warm_start_halves_the_tilts(self, monkeypatch):
+        tilts = []
+        tilt = asymptotics._tilt
+        monkeypatch.setattr(asymptotics, "_tilt",
+                            lambda *a: tilts.append(1) or tilt(*a))
+        grid = parse_grid("0:1:0.005")
+        for q, m, n in CURVES:
+            emit_series(AsymptoticScenario(q=q, m_hat=m, n_hat=n),
+                        list(SPHERE_PAIR), grid)
+        # 14,666 with one cold solve per grid point and side
+        assert len(tilts) <= 7400
+
+
+def _cold_series(scenario, bounds, grid):
+    """emit_series' CSV built point by point from evaluate_bound, which
+    solves every sphere value cold."""
+    lines = ["eta,bound,value"]
+    for name in bounds:
+        for eta in grid:
+            value = evaluate_bound(name, eta, scenario)
+            if value is not None:
+                lines.append(f"{eta:.10f},{name},{value:.10f}")
+    return "\n".join(lines) + "\n"
+
+
+class TestContinuationOracle:
+    @pytest.mark.parametrize("q", ENTROPY_QS)
+    def test_series_equals_the_cold_points(self, q):
+        for text in ("0:1:0.005", "0.0005:0.9995:0.003"):
+            grid = parse_grid(text)
+            for n, m in SQUARE_OR_WIDE:
+                sc = AsymptoticScenario(q=q, m_hat=m, n_hat=n)
+                for bounds in (BOUND_KEYS,) + tuple((s,) for s in SPHERE_PAIR):
+                    assert emit_series(sc, list(bounds), grid) == \
+                        _cold_series(sc, bounds, grid), (q, n, m, text, bounds)
 
 
 # embedded plot coordinates: series values a correct minimizer reproduces

@@ -61,6 +61,20 @@ def test_reducible_modulus_rejected():
         field_create(2, 2, [1, 0, 1])  # x^2 + 1 = (x+1)^2
 
 
+def test_bad_modulus_raises_on_every_call():
+    # the checks are cached per modulus, the verdict is not forgotten
+    for p, modulus, err, message in [
+            (2, [1, 0, 1], ReducibleModulus,
+             "[1, 0, 1] is reducible over GF(2)"),
+            (3, (1, 1, 2), DegreeMismatch,
+             "modulus must be monic of degree 2, got (1, 1, 2)")]:
+        for _ in range(2):
+            with pytest.raises(err) as caught:
+                field_create(p, 2, modulus)
+            assert str(caught.value) == message
+    assert field_create(2, 2, [1, 1, 1]) is field_create(2, 2, (3, 1, 1))
+
+
 def test_constructor_validation():
     with pytest.raises(NotPrime):
         field_create(4, 1)

@@ -118,6 +118,10 @@ class TestSrcFormat:
         (3, "profile 2X2,1x2,1x2x2"),
         (3, "profile 2x2,1X2,1x2,1x2"),
         (3, "profile  2x2,1x2x3 "),
+        # and spaces or tabs around each comma
+        (3, "profile 2x2, 1x2x3"),
+        (3, "profile 2x2 ,1x2x3"),
+        (3, "profile 2x2,\t1x2x3"),
     ])
     def test_writer_normalizes_each_accepted_spelling(self, line, text):
         fixture = (FIXTURES / "msrd_d4_gf3.src").read_text()
@@ -349,6 +353,13 @@ class TestDeterminism:
         argv = ["bounds", "--q", "2", "--profile", "2x2,1x2x7,1x1x5",
                 "--all-d", "--format", "csv"]
         assert run_cli(argv) == run_cli(argv)
+
+    def test_profile_spacing_around_commas(self):
+        argv = ["bounds", "--q", "2", "--profile", "2x2,1x2x7,1x1x5",
+                "--d", "8"]
+        spaced = argv[:4] + [" 2x2 , 1x2x7,\t1x1x5"] + argv[5:]
+        assert run_cli(spaced) == run_cli(argv)
+        assert run_cli(spaced)[0] == 0
 
     def test_json_schema_tag(self):
         import json
