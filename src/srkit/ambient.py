@@ -7,14 +7,20 @@ I/O can restore the original block order.
 
 An element is also a flat row of F_q^(sum n_i m_i): block-major in the
 normalized order, row-major within a block.  `_cells` is that layout's one
-map, and `_join` places one part per block through it.
+map, built once per profile as tuples, and `_join` places one part per
+block through it.
+
+`sphere_volume` reads cumulative volumes from one truncated weight spectrum
+kept on the profile: a first call at radius r multiplies only up to y^r,
+and a larger radius multiplies again to at least twice the degree held, so
+a bound table over every d on one profile multiplies O(log N) times.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import product
+from itertools import accumulate, product
 
 from .errors import (
     AmbientMismatch,
@@ -24,7 +30,7 @@ from .errors import (
     ProfileMismatch,
 )
 from .field import Field
-from .guard import _decimal, check_enum
+from .guard import _signed_decimal, check_enum
 from .matq import (
     Mat,
     Subspace,
@@ -40,7 +46,7 @@ class Profile:
     """Ordered block shapes over a fixed field, sorted by descending m_i."""
 
     __slots__ = ("field", "blocks", "original_blocks", "permutation",
-                 "slices", "t", "N", "M", "dim", "Q")
+                 "slices", "t", "N", "M", "dim", "_layout", "_volumes")
 
     def __init__(self, field: Field, raw_blocks):
         raw = [(int(n), int(m)) for n, m in raw_blocks]
@@ -67,7 +73,13 @@ class Profile:
         self.N = sum(n for n, _ in raw)
         self.M = sum(m for _, m in raw)
         self.dim = pos
-        self.Q = sum(Fraction(1, field.q ** m) for _, m in raw)
+        self._layout = None                    # built by `_cells` on first use
+        self._volumes = []                     # grown by `sphere_volume`
+
+    @property
+    def Q(self):
+        """sum_i q^-m_i, exact."""
+        return sum(Fraction(1, self.field.q ** m) for _, m in self.blocks)
 
     @property
     def ns(self):
@@ -128,10 +140,8 @@ def parse_profile(text: str):
         try:
             if len(parts) not in (2, 3):
                 raise ValueError
-            # ASCII decimals, read with a minus sign so that a negative
-            # count is refused as one
-            n, m, r = [-_decimal(x[1:]) if x.startswith("-") else _decimal(x)
-                       for x in parts] + [1] * (3 - len(parts))
+            n, m, r = ([_signed_decimal(x) for x in parts]
+                       + [1] * (3 - len(parts)))
         except ValueError:
             raise BadBlock(f"cannot parse block {token!r}") from None
         if r < 1:
@@ -199,16 +209,26 @@ def flatten(x: MatrixTuple) -> list[int]:
 
 
 def _cells(profile: Profile):
-    """Each block's flat positions, as a list of rows: the flat layout."""
-    return [[list(range(pos + a * m, pos + (a + 1) * m)) for a in range(n)]
-            for pos, n, m in profile.slices]
+    """Each block's flat positions, as a tuple of rows: the flat layout."""
+    return _flat_layout(profile)[0]
+
+
+def _flat_layout(profile: Profile):
+    """(`_cells`, each block's flat positions in one row-major tuple), built
+    on the profile's first call."""
+    if profile._layout is None:
+        cells = tuple(tuple(tuple(range(pos + a * m, pos + (a + 1) * m))
+                            for a in range(n))
+                      for pos, n, m in profile.slices)
+        profile._layout = cells, tuple(sum(cell, ()) for cell in cells)
+    return profile._layout
 
 
 def _join(profile: Profile, gens):
     """One flat row per generator of `gens`, a list of parts: block i of the
     row holds parts[i], its entries row-major.  A part shorter than its
     block leaves the rest of the block zero."""
-    cells = [[c for r in cell for c in r] for cell in _cells(profile)]
+    cells = _flat_layout(profile)[1]
     rows = []
     for parts in gens:
         row = [0] * profile.dim
@@ -357,20 +377,33 @@ def poly_product(polys, degree=None) -> list[int]:
     return acc
 
 
-def weight_spectrum(profile: Profile, degree=None) -> list[int]:
-    """Count of ambient tuples at each sum-rank weight 0..N (0..degree when
-    it is given): the coefficients of prod_i (sum_s #{rank-s matrices} y^s)."""
-    q = profile.field.q
-    blocks = ([count_matrices_of_rank(n, m, s, q) for s in range(n + 1)]
-              for n, m in profile.blocks)
-    return poly_product(blocks, degree)
+def _rank_polys(q, blocks):
+    """Per block, the rank generating polynomial sum_s #{rank-s matrices} y^s."""
+    return [[count_matrices_of_rank(n, m, s, q) for s in range(n + 1)]
+            for n, m in blocks]
+
+
+def weight_spectrum(profile: Profile) -> list[int]:
+    """Count of ambient tuples at each sum-rank weight 0..N: the
+    coefficients of prod_i (sum_s #{rank-s matrices} y^s)."""
+    return poly_product(_rank_polys(profile.field.q, profile.blocks))
 
 
 def sphere_volume(profile: Profile, r: int) -> int:
-    """Number of tuples of sum-rank weight at most r (exact)."""
+    """Number of tuples of sum-rank weight at most r (exact).
+
+    Reads the profile's cumulative volumes V_0..V_D, D the degree of the
+    truncated spectrum multiplied so far."""
     if r < 0:
         raise BadDistance("radius must be non-negative")
-    return sum(weight_spectrum(profile, r))
+    volumes, N = profile._volumes, profile.N
+    held = len(volumes) - 1
+    if held < min(r, N):
+        # the first call multiplies up to y^r; later ones at least double
+        degree = min(max(r, 2 * held), N)
+        volumes[:] = accumulate(poly_product(
+            _rank_polys(profile.field.q, profile.blocks), degree))
+    return volumes[min(r, N)]
 
 
 def enumerate_tuples(profile: Profile, override=False):

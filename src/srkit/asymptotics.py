@@ -6,8 +6,9 @@ safeguarded Newton (bisection backs up any step that leaves the bracket) on
 log-sum-exp sums, so huge integer coefficients never overflow; H = 1
 exactly at the w = 0 end.  `emit_series` solves each sphere curve in one
 pass: the distinct rho values its requested sides read, ascending, each
-Newton run starting at the previous minimizer.  Only per-shape constants
-are cached across calls.
+Newton run starting at the previous minimizer and reusing the tilt computed
+there, so no two tilts in a row share a w.  Only per-shape constants are
+cached across calls.
 """
 
 from __future__ import annotations
@@ -186,7 +187,8 @@ def _entropies(rhos, n, m, q):
     """{rho: H(rho)} over the distinct rhos, solved in one ascending pass.
 
     The minimizer grows with rho, so each Newton run starts at the previous
-    rho's minimizer (the first at w = -40) inside the bracket [-40, 0].
+    rho's minimizer (the first at w = -40) inside the bracket [-40, 0],
+    and reuses the tilt the previous run stopped on there.
     Newton works on the logit log(E_w[s] / (n - E_w[s])) = log(rho / (n -
     rho)), which is close to linear in w at both ends; a step that leaves
     the current bracket is replaced by the plain Newton step on g', and by
@@ -196,6 +198,7 @@ def _entropies(rhos, n, m, q):
     eps, log_counts, scale = _shape(n, m, q)
     table = {}
     w = _LOG_Z_LO
+    tilted = None  # (w, _tilt at w) of the last tilt
     for rho in sorted(set(rhos)):
         if rho < 0 or rho > eps + 1e-12:
             raise DomainError(f"rho must lie in [0, {eps}], got {rho}")
@@ -204,7 +207,9 @@ def _entropies(rhos, n, m, q):
             continue
         lo, hi = _LOG_Z_LO, 0.0
         for _ in range(_NEWTON_CAP):
-            log_f, mean, rest, var = _tilt(log_counts, w)
+            if tilted is None or tilted[0] != w:
+                tilted = w, _tilt(log_counts, w)
+            log_f, mean, rest, var = tilted[1]
             g = log_f - rho * w
             if mean >= rho:
                 hi = w
@@ -348,9 +353,17 @@ def emit_series(scenario: AsymptoticScenario, bounds, grid) -> str:
 
 
 def parse_grid(text: str):
-    """a:b:step inclusive of both ends (up to rounding)."""
+    """a:b:step inclusive of both ends (up to rounding).
+
+    Each number is spelled in ASCII with no space or '_', so a grid reads
+    the same to `float` as to a reader.
+    """
+    parts = text.split(":")
     try:
-        a, b, step = (float(x) for x in text.split(":"))
+        if not all(x.isascii() and x == x.strip() and "_" not in x
+                   for x in parts):
+            raise ValueError
+        a, b, step = map(float, parts)
     except ValueError:
         raise DomainError(f"grid must be a:b:step, got {text!r}") from None
     if not all(map(math.isfinite, (a, b, step))):

@@ -1,19 +1,22 @@
 """Cardinality bounds for sum-rank metric codes, exact over big integers.
 
 Floors are applied exactly where the source formulas apply them; every
-intermediate value is an integer or a Fraction.  ``None`` stands for "not
-applicable" (the bound's hypothesis fails at these parameters).
+intermediate value is an integer, so a ratio is floored as a // b.
+``None`` stands for "not applicable" (the bound's hypothesis fails at these
+parameters).  A table over every d on one profile reads its sphere volumes
+from the cumulative spectrum `ambient.sphere_volume` keeps on that profile,
+and builds no profile for the projective bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
-from .ambient import Profile, profile_create, sphere_volume
+from .ambient import Profile, sphere_volume
 from .code import singleton_decomposition, singleton_exponent
 from .errors import BadDistance, HypothesisFailed
+from .matq import count_matrices_of_rank
 
 # the six bound families the comparison tables rank against each other
 TABLE_BOUNDS = (
@@ -96,28 +99,35 @@ def projective_sphere_packing_bound(profile: Profile, d: int) -> int:
     # leaves at least one block
     j, delta = singleton_decomposition(ns, d - 2)
     ell = j - 1
-    # delta < n_{ell+1}, so every block keeps a row
-    blocks = [(ns[ell] - delta, ms[ell])] + list(profile.blocks[ell + 1:])
-    reduced = profile_create(profile.field, blocks)
-    return reduced.size() // sphere_volume(reduced, 1)
+    # delta < n_{ell+1}, so every block keeps a row; the reduced space has
+    # q^(sum n m) tuples and 1 + sum_i #{rank-1 n_i x m_i} of weight <= 1
+    q = profile.field.q
+    reduced = [(ns[ell] - delta, ms[ell])] + list(profile.blocks[ell + 1:])
+    size = q ** sum(n * m for n, m in reduced)
+    return size // (1 + sum(count_matrices_of_rank(n, m, 1, q)
+                            for n, m in reduced))
 
 
 def total_distance_bound(profile: Profile, d: int):
-    """floor((d-N+t)/(d-N+Q)) when d > N - Q; None otherwise."""
+    """floor((d-N+t)/(d-N+Q)) when d > N - Q; None otherwise.
+
+    Q = sum_i q^-m_i = A / q^m_max with A = sum_i q^(m_max - m_i), so the
+    bound is floor((d-N+t) q^m_max / ((d-N) q^m_max + A)), in integers.
+    """
     _check_d(profile, d)
-    N, t, Q = profile.N, profile.t, profile.Q
-    if d <= N - Q:
+    N, t, q, ms = profile.N, profile.t, profile.field.q, profile.ms
+    top = q ** ms[0]  # ms is non-increasing
+    den = (d - N) * top + sum(q ** (ms[0] - m) for m in ms)
+    if den <= 0:
         return None
-    value = Fraction(d - N + t) / (d - N + Q)
-    return value.numerator // value.denominator
+    return (d - N + t) * top // den
 
 
 def block_count_bound(N: int, d: int, m: int, q: int, cardinality: int) -> int:
     """Max block count t for any code with |C| > q^m."""
     if cardinality <= q ** m:
         raise HypothesisFailed("requires |C| > q^m")
-    value = Fraction((N - d) * q ** m * (cardinality - 1), cardinality - q ** m)
-    return value.numerator // value.denominator
+    return (N - d) * q ** m * (cardinality - 1) // (cardinality - q ** m)
 
 
 def sphere_covering_dimension(profile: Profile, d: int) -> int:

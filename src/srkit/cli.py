@@ -2,7 +2,11 @@
 
 Exit codes: 0 success, 1 negative verdict (not MSRD, exclusion found,
 identity check failed), 2 usage error, 3 enumeration guard exceeded.
-All output is deterministic for a fixed command line.
+All output is deterministic for a fixed command line.  Every integer on
+the command line is ASCII decimal digits (`guard._decimal`), as in `.src`
+files: no '+', '_', spaces or other scripts' digits; an integer flag may
+carry a leading '-', so a negative value is refused by the command's own
+range check.
 """
 
 from __future__ import annotations
@@ -46,9 +50,27 @@ from .distributions import (
 )
 from .errors import BadParameters, SrkitError, TooLarge
 from .field import field_from_order, prime_power
+from .guard import _decimal, _signed_decimal
 from .srcfile import parse_src, write_src
 
 SCHEMA = "srkit.v1"
+
+
+def _integer(text):
+    """An integer flag's value: ASCII decimal digits after an optional '-'."""
+    try:
+        return _signed_decimal(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a decimal integer: {text!r}") from None
+
+
+def _field(text):
+    """GF(q) for a --q value, q or p^k in ASCII decimal digits as
+    `prime_power` reads them, with no space around it either."""
+    if text != text.strip():
+        raise BadParameters(f"--q takes no spaces, got {text!r}")
+    return field_from_order(text)
 
 
 def _format_value(v):
@@ -67,7 +89,7 @@ def _print_bounds_table(rep, out):
 
 
 def cmd_bounds(args, out):
-    field = field_from_order(args.q)
+    field = _field(args.q)
     profile = profile_create(field, parse_profile(args.profile))
     ds = range(1, profile.N + 1) if args.all_d else [args.d]
     if not args.all_d and args.d is None:
@@ -217,7 +239,7 @@ def cmd_macwilliams(args, out):
 def _positive_ints(text, flag):
     """The comma list of positive integers given to `flag`, e.g. 3,3,2."""
     try:
-        values = tuple(int(x) for x in text.split(","))
+        values = tuple(map(_decimal, text.split(",")))
         if min(values) >= 1:
             return values
     except ValueError:
@@ -259,7 +281,7 @@ def cmd_construct(args, out):
                for dest in CONSTRUCT_REQUIRES[name] if getattr(args, dest) is None]
     if missing:
         raise BadParameters(f"construct {name} needs {', '.join(missing)}")
-    field = field_from_order(args.q)
+    field = _field(args.q)
     if name == "gabidulin":
         code = gabidulin_mrd(field, args.n, args.m, args.d)
     elif name == "mds-lift":
@@ -325,7 +347,7 @@ def cmd_asymptotics(args, out):
 
 
 def cmd_sphere_volume(args, out):
-    field = field_from_order(args.q)
+    field = _field(args.q)
     profile = profile_create(field, parse_profile(args.profile))
     print(sphere_volume(profile, args.r), file=out)
     return 0
@@ -345,7 +367,7 @@ def build_parser():
     p = sub.add_parser("bounds", help="evaluate all cardinality bounds")
     p.add_argument("--q", required=True, help="field size, e.g. 2 or 2^4")
     p.add_argument("--profile", required=True, help="e.g. 2x2,1x2x7,1x1x5")
-    p.add_argument("--d", type=int)
+    p.add_argument("--d", type=_integer)
     p.add_argument("--all-d", action="store_true")
     p.add_argument("--format", choices=("table", "csv", "json"),
                    default="table")
@@ -364,9 +386,9 @@ def build_parser():
     p = sub.add_parser("shorten",
                        help="MSRD-preserving shortening on a row or column")
     p.add_argument("src")
-    p.add_argument("--row", type=int, help="block index (1-based)")
-    p.add_argument("--col", type=int, help="block index (1-based)")
-    p.add_argument("--index", type=int, default=0,
+    p.add_argument("--row", type=_integer, help="block index (1-based)")
+    p.add_argument("--col", type=_integer, help="block index (1-based)")
+    p.add_argument("--index", type=_integer, default=0,
                    help="row/column inside the block (0-based)")
     p.add_argument("--out")
     add_common(p)
@@ -374,7 +396,7 @@ def build_parser():
 
     p = sub.add_parser("puncture", help="MSRD-preserving row puncturing")
     p.add_argument("src")
-    p.add_argument("--row", type=int, required=True,
+    p.add_argument("--row", type=_integer, required=True,
                    help="block index (1-based)")
     p.add_argument("--out")
     add_common(p)
@@ -393,10 +415,10 @@ def build_parser():
     p.set_defaults(fn=cmd_macwilliams)
 
     p = sub.add_parser("omega", help="MSRD non-existence criterion scan")
-    p.add_argument("--q", dest="q_int", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--q", dest="q_int", type=_integer, required=True)
+    p.add_argument("--m", type=_integer, required=True)
     p.add_argument("--shape", required=True, help="row counts, e.g. 3,3,2")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_integer, required=True)
     g = p.add_mutually_exclusive_group()
     g.add_argument("--full", dest="fast", action="store_false", default=False)
     g.add_argument("--fast", dest="fast", action="store_true")
@@ -408,15 +430,15 @@ def build_parser():
     p.add_argument("name", choices=tuple(CONSTRUCT_REQUIRES))
     p.add_argument("--q", required=True)
     p.add_argument("--profile", help="block list for profile-driven families")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--t2", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--alpha", type=int, default=1)
-    p.add_argument("--m-hat", type=int, dest="m_hat")
+    p.add_argument("--n", type=_integer)
+    p.add_argument("--m", type=_integer)
+    p.add_argument("--d", type=_integer)
+    p.add_argument("--t", type=_integer)
+    p.add_argument("--t2", type=_integer)
+    p.add_argument("--s", type=_integer)
+    p.add_argument("--r", type=_integer)
+    p.add_argument("--alpha", type=_integer, default=1)
+    p.add_argument("--m-hat", type=_integer, dest="m_hat")
     p.add_argument("--out")
     p.add_argument("--certify", action="store_true")
     add_common(p)
@@ -426,9 +448,9 @@ def build_parser():
         "asymptotics",
         help="asymptotic bound series as CSV (entropy bounds need equal "
              "block shapes; no mixed-shape sphere bound exists)")
-    p.add_argument("--q", dest="q_int", type=int, required=True)
-    p.add_argument("--m", type=int, required=True, help="stabilized column count")
-    p.add_argument("--n", type=int, required=True, help="stabilized row count")
+    p.add_argument("--q", dest="q_int", type=_integer, required=True)
+    p.add_argument("--m", type=_integer, required=True, help="stabilized column count")
+    p.add_argument("--n", type=_integer, required=True, help="stabilized row count")
     p.add_argument("--head", help="leading column counts before stabilizing")
     p.add_argument("--n-head", dest="n_head", help="leading row counts")
     p.add_argument("--bounds", required=True,
@@ -440,7 +462,7 @@ def build_parser():
     p = sub.add_parser("sphere-volume", help="exact sum-rank ball size")
     p.add_argument("--q", required=True)
     p.add_argument("--profile", required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_integer, required=True)
     p.set_defaults(fn=cmd_sphere_volume)
 
     return ap

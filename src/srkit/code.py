@@ -602,8 +602,10 @@ def msrd_shorten_row(code: LinearCode, s: int, row: int = 0, order=None,
     n_prime = ns[s - 1] - delta if s == j else ns[s - 1]
     if not 0 <= row < n_prime:
         raise IndexOutOfTheoremRange(f"row must be a tail row of block {s}")
-    cells = _cells(code.profile)
-    return _cut(code, cells[s - 1].pop(row), cells)
+    cells = list(_cells(code.profile))
+    block = cells[s - 1]
+    cells[s - 1] = block[:row] + block[row + 1:]
+    return _cut(code, block[row], cells)
 
 
 def msrd_shorten_col(code: LinearCode, s: int, col: int = 0, order=None,
@@ -625,8 +627,10 @@ def msrd_shorten_col(code: LinearCode, s: int, col: int = 0, order=None,
     if ms[s - 1] - 1 > 0 and ns[s - 1] > ms[s - 1] - 1:
         raise IndexOutOfTheoremRange(
             f"removing a column from block {s} would leave more rows than columns")
-    cells = _cells(code.profile)
-    return _cut(code, [r.pop(col) for r in cells[s - 1]], cells)
+    cells = list(_cells(code.profile))
+    block = cells[s - 1]
+    cells[s - 1] = [r[:col] + r[col + 1:] for r in block]
+    return _cut(code, [r[col] for r in block], cells)
 
 
 def msrd_puncture_row(code: LinearCode, s: int, order=None,
@@ -643,6 +647,6 @@ def msrd_puncture_row(code: LinearCode, s: int, order=None,
     hi = j if delta > 0 else j - 1
     if not 1 <= s <= hi:
         raise IndexOutOfTheoremRange(f"s must lie in [1, {hi}]")
-    cells = _cells(code.profile)
-    cells[s - 1].pop()
+    cells = list(_cells(code.profile))
+    cells[s - 1] = cells[s - 1][:-1]
     return _cut(code, [], cells)

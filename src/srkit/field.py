@@ -23,6 +23,7 @@ from .errors import (
     ReducibleModulus,
     TooLarge,
 )
+from .guard import _decimal
 
 MAX_Q = 1 << 20   # larger fields are refused: enumeration is hopeless anyway
 _FULL_TABLE_Q = 256
@@ -604,19 +605,21 @@ def field_create(p: int, k: int = 1, modulus=None) -> Field:
 def prime_power(q) -> tuple[int, int]:
     """(p, k) with q = p^k, for q an int or text such as '2', '2^4' or '9'.
 
-    Builds no field, so it also serves to check a size that is never built.
-    Exact for q (or p) below 3.317e24; BadParameters at or above.
+    Text is ASCII decimal digits (`guard._decimal`), with spaces allowed
+    only around the whole of it.  Builds no field, so it also serves to
+    check a size that is never built.  Exact for q (or p) below 3.317e24;
+    BadParameters at or above.
     """
-    text = str(q)
+    text = str(q).strip()
     try:
         if "^" in text:
-            p, k = (int(x) for x in text.split("^", 1))
+            p, k = (_decimal(x) for x in text.split("^", 1))
             if not is_prime(p):
                 raise NotPrime(f"{p} is not prime")
             if k < 1:
                 raise DegreeMismatch(f"extension degree must be >= 1, got {k}")
             return p, k
-        q = int(text)
+        q = q if isinstance(q, int) else _decimal(text)
     except ValueError:
         raise NotPrime(f"{text!r} is not a field size") from None
     if q > 1:

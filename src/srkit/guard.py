@@ -24,6 +24,12 @@ def _decimal(text: str) -> int:
     return int(text)
 
 
+def _signed_decimal(text: str) -> int:
+    """`_decimal` after an optional leading '-', so that a negative value
+    is refused by its reader's range check rather than as a spelling."""
+    return -_decimal(text[1:]) if text.startswith("-") else _decimal(text)
+
+
 def max_enum() -> int:
     """SRKIT_MAX_ENUM, a non-negative decimal integer, if set and not empty."""
     value = os.environ.get("SRKIT_MAX_ENUM")

@@ -1,12 +1,17 @@
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import srkit.ambient as ambient
 from conftest import oracle_sphere_counts, tup
 from srkit.ambient import (
     MatrixTuple,
     SubspaceTuple,
+    _cells,
     blockdiag_embed,
     enumerate_lattice,
     enumerate_tuples,
@@ -21,7 +26,7 @@ from srkit.ambient import (
     weight_spectrum,
 )
 from srkit.errors import BadBlock, NotComparable, ProfileMismatch
-from srkit.field import field_create
+from srkit.field import field_create, prime_power
 from srkit.matq import Mat, all_subspaces, gaussian_binomial, rank
 
 F2 = field_create(2)
@@ -207,6 +212,57 @@ class TestSphereVolume:
         assert weight_spectrum(p) == counts
         for r in range(p.N + 1):
             assert sphere_volume(p, r) == sum(counts[:r + 1])
+
+
+@st.composite
+def spectrum_profiles(draw):
+    """A profile over GF(2)..GF(5) with up to six blocks of up to 3 x 4."""
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    shapes = st.integers(1, 4).flatmap(
+        lambda m: st.tuples(st.integers(1, min(m, 3)), st.just(m)))
+    return profile_create(field_create(*prime_power(q)),
+                          draw(st.lists(shapes, min_size=1, max_size=6)))
+
+
+class TestSphereVolumeCache:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(p=spectrum_profiles(), seed=st.integers(0, 2 ** 16))
+    def test_volumes_are_sums_of_the_full_spectrum(self, p, seed):
+        # radii 0..N+2 in a shuffled order, so the cached spectrum is read,
+        # grown past its degree and read beyond N; then again, warm
+        want = list(accumulate(weight_spectrum(p)))
+        radii = list(range(p.N + 3))
+        random.Random(seed).shuffle(radii)
+        for rounds in ("cold", "warm"):
+            for r in radii:
+                assert sphere_volume(p, r) == want[min(r, p.N)], (rounds, r)
+
+    def test_a_larger_radius_at_least_doubles_the_degree(self, monkeypatch):
+        degrees = []
+        product = ambient.poly_product
+        monkeypatch.setattr(ambient, "poly_product", lambda polys, degree:
+                            degrees.append(degree) or product(polys, degree))
+        p = profile_create(F2, [(2, 2)] * 40)
+        for r in range(p.N + 2):
+            sphere_volume(p, r)
+        # radius 0 is one term; then 1, 2, 4, ..., 64 and the full 80
+        assert degrees == [0, 1, 2, 4, 8, 16, 32, 64, 80]
+
+    def test_each_profile_keeps_its_own_spectrum(self):
+        a = profile_create(F3, [(1, 2), (2, 2)])
+        b = profile_create(field_create(3), [(1, 2), (2, 2)])
+        assert sphere_volume(a, 3) == 3 ** 6
+        assert b._volumes == []
+        assert sphere_volume(b, 1) == 1 + 8 + 32
+        assert len(a._volumes) == 4 and len(b._volumes) == 2
+
+
+class TestCells:
+    def test_built_once_as_tuples(self):
+        p = profile_create(F2, [(1, 2), (2, 3)])
+        cells = _cells(p)
+        assert cells is _cells(p)
+        assert cells == (((0, 1, 2), (3, 4, 5)), ((6, 7),))
 
 
 class TestLatticeEnumeration:

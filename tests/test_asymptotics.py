@@ -269,6 +269,32 @@ class TestSpherePair:
         # 14,666 with one cold solve per grid point and side
         assert len(tilts) <= 7400
 
+    def test_each_run_reuses_the_tilt_it_starts_on(self, monkeypatch):
+        # a run starts at the w its predecessor stopped on, whose tilt is
+        # already known: no two tilts in a row share a w, and a run costs
+        # about two new tilts (3 before reuse, 4,697 in all against 7,174)
+        ws, below = [], []
+        tilt, entropies = asymptotics._tilt, asymptotics._entropies
+
+        def solve(rhos, n, m, q):
+            eps = asymptotics._shape(n, m, q)[0]
+            below.append(sum(rho < eps for rho in set(rhos)))
+            return entropies(rhos, n, m, q)
+
+        monkeypatch.setattr(asymptotics, "_tilt",
+                            lambda lc, w: ws.append(w) or tilt(lc, w))
+        monkeypatch.setattr(asymptotics, "_entropies", solve)
+        grid = parse_grid("0:1:0.005")
+        total = 0
+        for q, m, n in CURVES:
+            ws.clear()
+            emit_series(AsymptoticScenario(q=q, m_hat=m, n_hat=n),
+                        list(SPHERE_PAIR), grid)
+            assert all(a != b for a, b in zip(ws, ws[1:])), (q, m, n)
+            total += len(ws)
+        assert len(below) == len(CURVES)
+        assert total <= 2 * sum(below)
+
 
 def _cold_series(scenario, bounds, grid):
     """emit_series' CSV built point by point from evaluate_bound, which

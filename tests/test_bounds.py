@@ -1,9 +1,11 @@
+from fractions import Fraction
 from math import comb
 
 import pytest
 
 from conftest import msrd_d6_code
-from srkit.ambient import profile_create
+from srkit.ambient import profile_create, sphere_volume
+from srkit.code import singleton_decomposition
 from srkit.bounds import (
     TABLE_BOUNDS,
     block_count_bound,
@@ -135,6 +137,54 @@ class TestProjectiveSpherePacking:
             value = bound_report(p, d).entries["projective-sphere-packing"]
             assert value is not None and value >= 1
             assert value == projective_sphere_packing_bound(p, d)
+
+
+# mixed column counts over several fields, for the oracle tests
+ORACLE_PROFILES = [
+    (F2, [(2, 2)] + [(1, 2)] * 7 + [(1, 1)] * 5),
+    (F2, [(3, 3), (2, 3), (1, 2)]),
+    (F2, [(2, 4), (2, 2), (1, 1), (1, 1)]),
+    (F3, [(1, 3), (2, 2), (1, 2)]),
+    (F3, [(3, 3), (1, 1)]),
+    (field_create(2, 2), [(2, 3), (1, 3), (1, 3)]),
+    (field_create(5), [(1, 4), (3, 3), (2, 2), (1, 1), (1, 1)]),
+    (field_create(2, 16), [(2, 2)] * 4),
+]
+
+
+@pytest.mark.parametrize("field,blocks", ORACLE_PROFILES)
+def test_projective_bound_is_packing_on_the_reduced_profile(field, blocks):
+    # the bound as stated: build the profile left after projecting d - 3
+    # rows away and pack radius-1 balls into it
+    p = profile_create(field, blocks)
+    ns = p.ns
+    for d in range(3, p.N + 1):
+        j, delta = singleton_decomposition(ns, d - 2)
+        reduced = profile_create(
+            field, [(ns[j - 1] - delta, p.ms[j - 1])] + list(p.blocks[j:]))
+        want = reduced.size() // sphere_volume(reduced, 1)
+        assert projective_sphere_packing_bound(p, d) == want, d
+
+
+@pytest.mark.parametrize("field,blocks", ORACLE_PROFILES)
+def test_total_distance_is_the_fraction_formula(field, blocks):
+    p = profile_create(field, blocks)
+    N, t = p.N, p.t
+    Q = sum(Fraction(1, field.q ** m) for _, m in blocks)
+    assert p.Q == Q
+    for d in range(1, N + 1):
+        want = None if d <= N - Q else int(
+            (Fraction(d - N + t) / (d - N + Q)) // 1)
+        assert total_distance_bound(p, d) == want, d
+
+
+@pytest.mark.parametrize("field,blocks", ORACLE_PROFILES)
+def test_all_d_tables_do_not_depend_on_the_cache(field, blocks):
+    # each order on a fresh profile: one grows its volumes, one reads them
+    p, fresh = profile_create(field, blocks), profile_create(field, blocks)
+    down = [bound_report(p, d).entries for d in range(p.N, 0, -1)]
+    up = [bound_report(fresh, d).entries for d in range(1, fresh.N + 1)]
+    assert down[::-1] == up
 
 
 class TestTotalDistance:

@@ -118,6 +118,9 @@ def test_prime_power(q, expect):
     (3825123056546413051, NotPrime),
     (3317044064679887385961981, BadParameters), (10 ** 30, BadParameters),
     ("3317044064679887385961981^1", BadParameters),
+    # text is ASCII decimal digits only
+    ("1_6", NotPrime), ("\u0664", NotPrime), ("+4", NotPrime),
+    ("2^0_2", NotPrime), ("\uff12^2", NotPrime), ("2 ^2", NotPrime),
 ])
 def test_prime_power_rejects(q, err):
     with pytest.raises(err):

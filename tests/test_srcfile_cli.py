@@ -316,6 +316,56 @@ class TestExitCodes:
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: construct gabidulin needs --d\n"
 
+    # every number on the command line is ASCII decimal, as in .src files
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["bounds", "--q", q, "--profile", "2x2", "--d", "1"],
+                     id=f"bounds-q-{name}")
+        for q, name in (("1_6", "underscore"), ("\u0664", "arabic-indic"),
+                        (" 4", "space"), ("4 ", "trailing-space"),
+                        ("+4", "plus"), ("2^0_2", "exponent-underscore"),
+                        ("\uff12^2", "fullwidth-base"))
+    ] + [
+        pytest.param(["sphere-volume", "--q", "2", "--profile", "2x2",
+                      "--r", r], id=f"sphere-volume-r-{name}")
+        for r, name in (("1_0", "underscore"), ("+3", "plus"),
+                        ("\u0663", "arabic-indic"), (" 1", "space"))
+    ] + [
+        pytest.param(["bounds", "--q", "2", "--profile", "2x2", "--d", "0_1"],
+                     id="bounds-d-underscore"),
+        pytest.param(["construct", "simplex-lift", "--q", "2", "--m", "2",
+                      "--n", "2", "--r", "+3"], id="construct-r-plus"),
+        pytest.param(["omega", "--q", "\u0663", "--m", "3", "--shape",
+                      "3,3,2", "--d", "7"], id="omega-q-arabic-indic"),
+        pytest.param(["omega", "--q", "3", "--m", "3", "--shape", "3,0_3,2",
+                      "--d", "7"], id="omega-shape-underscore"),
+        pytest.param(["asymptotics", "--q", "2", "--m", "2", "--n", "1",
+                      "--head", "+2", "--bounds", "singleton"],
+                     id="asymptotics-head-plus"),
+        pytest.param(["asymptotics", "--q", "2", "--m", "2", "--n", "1",
+                      "--grid", "0:1_0:1", "--bounds", "singleton"],
+                     id="asymptotics-grid-underscore"),
+        pytest.param(["asymptotics", "--q", "2", "--m", "2", "--n", "1",
+                      "--grid", "0: 1:0.5", "--bounds", "singleton"],
+                     id="asymptotics-grid-space"),
+        pytest.param(["asymptotics", "--q", "2", "--m", "2", "--n", "1",
+                      "--grid", "0:\u0661:0.5", "--bounds", "singleton"],
+                     id="asymptotics-grid-arabic-indic"),
+    ])
+    def test_numbers_are_ascii_decimal(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert any(line.startswith("error: ") or ": error: " in line
+                   for line in err.splitlines()), err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, want", [
+        (["sphere-volume", "--q", "02", "--profile", "2x2", "--r", "01"], "10"),
+        (["sphere-volume", "--q", "2^02", "--profile", "2x2", "--r", "1"],
+         "76"),
+    ])
+    def test_leading_zeros_are_decimal(self, argv, want):
+        assert run_cli(argv) == (0, want + "\n")
+
     def test_huge_prime_q_is_checked_quickly(self):
         rc, out = run_cli(["omega", "--q", "1000000000000000003", "--m", "3",
                            "--shape", "3,3,2", "--d", "7"])
