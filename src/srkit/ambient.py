@@ -46,7 +46,8 @@ class Profile:
     """Ordered block shapes over a fixed field, sorted by descending m_i."""
 
     __slots__ = ("field", "blocks", "original_blocks", "permutation",
-                 "slices", "t", "N", "M", "dim", "_layout", "_volumes")
+                 "slices", "t", "N", "M", "dim", "_layout", "_volumes",
+                 "_lattice")
 
     def __init__(self, field: Field, raw_blocks):
         raw = [(int(n), int(m)) for n, m in raw_blocks]
@@ -75,6 +76,7 @@ class Profile:
         self.dim = pos
         self._layout = None                    # built by `_cells` on first use
         self._volumes = []                     # grown by `sphere_volume`
+        self._lattice = {}                     # n -> `_lattice_tables` entry
 
     @property
     def Q(self):
@@ -103,8 +105,9 @@ class Profile:
         return tuple(items[j] for j in self.permutation)
 
     def __eq__(self, other):
-        return (isinstance(other, Profile) and self.field == other.field
-                and self.blocks == other.blocks)
+        return self is other or (
+            isinstance(other, Profile) and self.field == other.field
+            and self.blocks == other.blocks)
 
     def __hash__(self):
         return hash((self.field.q, self.blocks))
@@ -279,7 +282,7 @@ class SubspaceTuple:
 
     @property
     def dim_vector(self):
-        return tuple(s.dim for s in self.parts)
+        return tuple([s.dim for s in self.parts])
 
     def contains(self, other: "SubspaceTuple") -> bool:
         return all(a.contains(b) for a, b in zip(self.parts, other.parts))

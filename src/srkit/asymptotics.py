@@ -35,43 +35,63 @@ def hilbert_entropy(x: float, Q: int) -> float:
     """
     if Q < 2:
         raise DomainError("alphabet size must be at least 2")
+    return _entropy(Q)(x)
+
+
+def _entropy(Q):
+    """x -> h_Q(x), with 1 - 1/Q and log_Q(Q - 1) computed once; Q >= 2."""
     hi = 1.0 - 1.0 / Q
-    if x < 0 or x > hi + 1e-15:
-        raise DomainError(f"argument {x} outside [0, {hi}]")
-    if x == 0:
-        return 0.0
-    x = min(x, hi)
-    out = x * math.log(Q - 1, Q) - x * math.log(x, Q)
-    if x < 1:
-        out -= (1 - x) * math.log(1 - x, Q)
-    return out
+    slope = math.log(Q - 1, Q)
+
+    def value(x):
+        if x < 0 or x > hi + 1e-15:
+            raise DomainError(f"argument {x} outside [0, {hi}]")
+        if x == 0:
+            return 0.0
+        x = min(x, hi)
+        out = x * slope - x * math.log(x, Q)
+        if x < 1:
+            out -= (1 - x) * math.log(1 - x, Q)
+        return out
+    return value
 
 
 def asymptotic_induced(eta: float, q: int, m: int, which: str):
     """Asymptotic induced bounds on the rate; alphabet size Q = q^m."""
+    return _induced(q, m, which)(eta)
+
+
+def _induced(q, m, which):
+    """eta -> `asymptotic_induced`(eta, q, m, which), with Q = q^m, 1 - 1/Q
+    and h_Q's constants computed once per curve."""
     if which == "singleton":
-        return asymptotic_singleton(eta)
-    if not 0 <= eta <= 1:
-        raise DomainError(f"eta must lie in [0, 1], got {eta}")
+        return asymptotic_singleton
     Q = q ** m
     r = 1.0 - 1.0 / Q
-    if which == "hamming":
-        if eta == 0:
-            return 1.0
-        if eta >= 2 * r:
-            raise DomainError("hamming bound needs eta/2 < 1 - Q^-1")
-        return 1.0 - hilbert_entropy(eta / 2, Q)
-    if which == "plotkin":
-        if eta > r:
-            return 0.0
-        return 1.0 - eta / r
-    if which == "elias":
-        if eta == 0:
-            return 1.0
-        if eta >= r:
-            raise DomainError("elias bound needs eta < 1 - Q^-1")
-        return 1.0 - hilbert_entropy(r - math.sqrt(r * (r - eta)), Q)
-    raise ValueError(f"unknown induced bound {which!r}")
+    # h is read only where eta > 0 passes the checks, so only when Q >= 2
+    h = _entropy(Q) if Q >= 2 else None
+
+    def value(eta):
+        if not 0 <= eta <= 1:
+            raise DomainError(f"eta must lie in [0, 1], got {eta}")
+        if which == "hamming":
+            if eta == 0:
+                return 1.0
+            if eta >= 2 * r:
+                raise DomainError("hamming bound needs eta/2 < 1 - Q^-1")
+            return 1.0 - h(eta / 2)
+        if which == "plotkin":
+            if eta > r:
+                return 0.0
+            return 1.0 - eta / r
+        if which == "elias":
+            if eta == 0:
+                return 1.0
+            if eta >= r:
+                raise DomainError("elias bound needs eta < 1 - Q^-1")
+            return 1.0 - h(r - math.sqrt(r * (r - eta)))
+        raise ValueError(f"unknown induced bound {which!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -237,14 +257,12 @@ def _sphere_rho(name: str, eta: float, n: int, eps: float) -> float:
     return eta * n / 2 if name == "sphere-packing-upper" else min(eta * n, eps)
 
 
-def _sphere_bound(name: str, n: int, m: int, q: int, entropies=None):
-    """eta -> one side of the sphere pair, 1 - H(_sphere_rho(eta)); H is
-    read from the table `entropies` if given, else solved cold."""
+def _sphere_bound(name: str, n: int, m: int, q: int):
+    """eta -> one side of the sphere pair, 1 - H(_sphere_rho(eta)), H
+    solved cold."""
     eps = _shape(n, m, q)[0]
-    if entropies is None:
-        return lambda eta: 1.0 - sumrank_entropy(
-            _sphere_rho(name, eta, n, eps), n, m, q)
-    return lambda eta: 1.0 - entropies[_sphere_rho(name, eta, n, eps)]
+    return lambda eta: 1.0 - sumrank_entropy(
+        _sphere_rho(name, eta, n, eps), n, m, q)
 
 
 def asymptotic_sphere_pack_cover(eta: float, n: int, m: int, q: int):
@@ -276,7 +294,7 @@ def _sphere_shape(scenario: AsymptoticScenario):
     return scenario.n_hat, scenario.m_hat, scenario.q
 
 
-def _bound(name: str, scenario: AsymptoticScenario, entropies=None):
+def _bound(name: str, scenario: AsymptoticScenario):
     """eta -> one asymptotic bound; DomainError outside its domain.
 
     The entropy-based pair requires equal block shapes (no heads); there is
@@ -288,12 +306,10 @@ def _bound(name: str, scenario: AsymptoticScenario, entropies=None):
     if name == "total-distance":
         return _total_distance(scenario)
     if name in _SPHERE_PAIR:
-        return _sphere_bound(name, *_sphere_shape(scenario), entropies)
+        return _sphere_bound(name, *_sphere_shape(scenario))
     if name.startswith("induced-"):
-        q = scenario.q
         m_top = scenario.m_head[0] if scenario.m_head else scenario.m_hat
-        which = name.removeprefix("induced-")
-        return lambda eta: asymptotic_induced(eta, q, m_top, which)
+        return _induced(scenario.q, m_top, name.removeprefix("induced-"))
     raise ValueError(f"unknown bound {name!r}")
 
 
@@ -309,24 +325,28 @@ def evaluate_bound(name: str, eta: float, scenario: AsymptoticScenario):
 
 
 def _series_entropies(scenario, bounds, grid):
-    """H at every rho the requested sphere sides read on the grid, from one
-    `_entropies` pass; None when no side is requested or the shapes differ."""
+    """{side: {eta: H(rho)}} for the requested sphere sides, each eta of the
+    grid in the side's domain, its rho computed once and H from one
+    `_entropies` pass; {} when no side is requested or the shapes differ."""
     sides = [name for name in _SPHERE_PAIR if name in bounds]
     if not sides:
-        return None
+        return {}
     try:
         n, m, q = _sphere_shape(scenario)
     except DomainError:
-        return None
+        return {}
     eps = _shape(n, m, q)[0]
-    rhos = []
-    for name in sides:
+    rhos = {name: {} for name in sides}
+    for name, at in rhos.items():
         for eta in grid:
             try:
-                rhos.append(_sphere_rho(name, eta, n, eps))
+                at[eta] = _sphere_rho(name, eta, n, eps)
             except DomainError:
                 pass
-    return _entropies(rhos, n, m, q)
+    table = _entropies([rho for at in rhos.values() for rho in at.values()],
+                       n, m, q)
+    return {name: {eta: table[rho] for eta, rho in at.items()}
+            for name, at in rhos.items()}
 
 
 def emit_series(scenario: AsymptoticScenario, bounds, grid) -> str:
@@ -335,12 +355,17 @@ def emit_series(scenario: AsymptoticScenario, bounds, grid) -> str:
     Every value equals `evaluate_bound`'s, byte for byte once formatted;
     the sphere sides read H from one warm-started `_entropies` pass.
     """
-    entropies = _series_entropies(scenario, bounds, grid)
+    sphere = _series_entropies(scenario, bounds, grid)
     etas = [(eta, f"{eta:.10f}") for eta in grid]
     lines = ["eta,bound,value"]
     for name in bounds:
+        if name in sphere:
+            at = sphere[name]
+            lines += [f"{eta_text},{name},{1.0 - at[eta]:.10f}"
+                      for eta, eta_text in etas if eta in at]
+            continue
         try:
-            value_at = _bound(name, scenario, entropies)
+            value_at = _bound(name, scenario)
         except DomainError:
             continue
         for eta, eta_text in etas:

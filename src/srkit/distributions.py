@@ -26,27 +26,34 @@ route, and the other route runs when only it fits (`guard.walk_runs`).
 Both routes rank in the representation `matq._row_ops` picks: over GF(2),
 packed ints reduced by the XOR insert `matq._extend_bits`.  The lattice
 route ranks its constraint rows (`code._constraints`): each block's rows
-are picked per subspace, reduced once, and `_tuple_ranks` ranks every
-tuple of them depth-first over the blocks on one echelon.  It does not
-share the distance search's row-by-row tree (`code._lattice_distance`):
-here every leaf is reached, and a prototype of that tree for the supports
-made a spectrum round 17.5% slower.  The walk ranks each block's columns from `code._words`, as the
-distance walk ranks its rows, and counts words by the tuple of the column
-spaces' canonical forms.
+are picked per subspace, reduced once, and `_shortening_sizes` ranks every
+tuple of them depth-first over the blocks on one echelon, appending each
+size straight to the list the inversion reads.  It does not share the
+distance search's row-by-row tree (`code._lattice_distance`): here every
+leaf is reached, and a prototype of that tree for the supports made a
+spectrum round 17.5% slower.  The walk ranks each block's columns from
+`code._words`, as the distance walk ranks its rows, and counts words by
+the tuple of the column spaces' canonical forms.
 
-Every lattice kernel reads one subspace table per distinct n, built per
-call (`_subspace_table`): the subspaces of GF(q)^n in `all_subspaces`
-order, their dimensions, the position of each one's orthogonal complement
-and each one's points (1-dimensional subspaces) as a bit mask.  v <= u is
-one AND of masks, and dim(h^perp meet u) comes from a popcount, since a
+Every lattice kernel reads one subspace table per distinct n, built once
+per profile and kept on it (`_lattice_tables`, `_subspace_table`): the
+subspaces of GF(q)^n in `all_subspaces` order, their dimensions and
+positions, the position of each one's orthogonal complement, each one's
+points (1-dimensional subspaces) as a bit mask, and the kernels built on
+the table so far (the Moebius kernel and each m's support kernel).  v <= u
+is one AND of masks, and dim(h^perp meet u) comes from a popcount, since a
 w-dimensional space has (q^w - 1)/(q - 1) points.  The lattice route takes
-its constraint rows from the perps, and both transforms are guarded once,
-before the table is listed (`_lattice_tables`).
+its constraint rows from the perps.  A code's route, its dual's (`dual`
+keeps the profile) and `macwilliams_support` thus read one table and the
+same `Subspace` objects; there is no cache across profiles, so each newly
+read code builds its own.  The lattice transform guard runs on every call,
+before a held table is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, product
 from math import prod
 from typing import NamedTuple
@@ -74,11 +81,11 @@ from .errors import (
 from .guard import check_enum, check_keys, walk_runs
 from .matq import (
     Subspace,
+    _normal,
+    _points,
     _row_ops,
     all_subspaces,
     gaussian_binomial,
-    linear_combination,
-    orthogonal_complement,
 )
 
 
@@ -169,7 +176,15 @@ def brute_distributions(code: LinearCode, override=False):
 # words per contraction has the least worst slowdown on the 43: 3.0x (GF(2)
 # 4x4, k = 7, lattice 3.4 against 1.1 ms; 8 codes miss).  The packed walk
 # is 2-3x faster over GF(2), so (2, 256), fitted to the field-row walk,
-# reached 5.3x (GF(2) 5x5, k = 10: lattice 41 ms, walk 7.8 ms).
+# reached 5.3x (GF(2) 5x5, k = 10: lattice 41 ms, walk 7.8 ms).  Re-timed
+# the same way once tables were kept per profile, shortening sizes filled
+# flat and field rows read the field's tables, the lattice route called on
+# a newly read copy of each code so that it builds its tables as a first
+# call does: (2, 64) still picks the faster route on all 20 seed-1 codes
+# (so would 1 or 2 tuples per word with any contraction term, 3 or 4 with
+# 1/32 or 1/64 words per contraction) and ties for the least worst
+# slowdown on the 43: 3.1x (GF(2) 4x4, k = 7, lattice 3.2 against 1.1 ms;
+# 7 codes miss).
 _TUPLES_PER_WORD = 2
 _CONTRACTIONS_PER_WORD = 64
 
@@ -216,103 +231,114 @@ def _lattice_supports(code: LinearCode, override=False):
     """
     profile = code.profile
     tables = _lattice_tables(profile, override)
-    F = code.field
-    q, k = F.q, code.k
-    ops = _row_ops(F)
+    k = code.k
+    ops = _row_ops(code.field)
     picks = []
     for i, n in enumerate(profile.ns):
         table = tables[n]
         rows = _constraints(code, i, ops)
         picks.append([[row for _, row in ops.extend(
             [], rows(table.subspaces[p].basis), k)] for p in table.perps])
-    powers = [q ** e for e in range(k + 1)]
-    g = []
-    for r, leaves in _tuple_ranks(picks, 0, [], k, ops.extend):
-        g += [powers[k - r]] * leaves
-    kernels = {n: _mobius_kernel(table) for n, table in tables.items()}
-    values = _product_transform(g, [tables[n].subspaces for n in profile.ns],
-                                [kernels[n] for n in profile.ns])
+    g = _shortening_sizes(picks, k, code.field.q, ops.extend)
+    values = _product_transform(
+        g, [tables[n].subspaces for n in profile.ns],
+        [_kernel(tables[n], None, _mobius_kernel) for n in profile.ns])
     return {SubspaceTuple(profile, u, check=False): c for u, c in values if c}
 
 
-def _tuple_ranks(picks, depth, echelon, k, extend):
-    """Yield (rank, leaves) over the choices of one row space per block
-    from `depth` on, in itertools.product order: the rank of `echelon` plus
-    the chosen rows, and how many consecutive choices share it.
+def _shortening_sizes(picks, k, q, extend):
+    """q^(k - r) for every choice of one row list per block, in
+    itertools.product order, r the rank of the chosen rows together.
 
-    Depth-first over the blocks with incremental elimination, so each
-    choice costs one `extend` (the semi-echelon insert of the rows'
-    representation, see `matq._row_ops`); a branch whose rank reaches k is
-    not descended and yields (k, its number of choices) once.
+    Depth-first over the blocks with incremental elimination on one
+    echelon, so each choice costs one `extend` (the semi-echelon insert of
+    the rows' representation, see `matq._row_ops`) and `del echelon[mark:]`
+    undoes it; a branch whose rank reaches k is not descended, and its
+    choices below all read q^0.
     """
-    if depth == len(picks):
-        yield len(echelon), 1
-        return
-    mark = len(echelon)
-    below = prod(len(p) for p in picks[depth + 1:])
-    for rows in picks[depth]:
-        extend(echelon, rows, k)
-        if len(echelon) < k:
-            yield from _tuple_ranks(picks, depth + 1, echelon, k, extend)
-        else:
-            yield k, below
-        del echelon[mark:]
+    powers = [q ** (k - r) for r in range(k + 1)]
+    sizes, echelon, last = [], [], len(picks) - 1
+
+    def fill(depth):
+        mark = len(echelon)
+        below = prod(map(len, picks[depth + 1:]))
+        for rows in picks[depth]:
+            extend(echelon, rows, k)
+            if len(echelon) == k:
+                sizes.extend([1] * below)
+            elif depth == last:
+                sizes.append(powers[len(echelon)])
+            else:
+                fill(depth + 1)
+            del echelon[mark:]
+
+    fill(0)
+    return sizes
 
 
 class _SubspaceTable(NamedTuple):
     """What every lattice kernel reads about GF(q)^n, position by position
-    in `all_subspaces` order (see the module docstring)."""
+    in `all_subspaces` order (see the module docstring), and the kernels
+    built on it so far (`_kernel`)."""
     subspaces: list
     dims: list
     perps: list
     masks: list
+    positions: dict
+    kernels: dict
 
 
 def _subspace_table(n, F, override=False):
     """The table of GF(q)^n.
 
-    u's mask marks every point of u: an RREF basis combined with
-    coefficients whose first nonzero is 1 gives each point once, with a
-    leading 1.  u^perp is the meet of the hyperplanes x^perp over u's basis
-    rows x (the whole space when u = 0), and a hyperplane's normal is the
-    one RREF row of its orthogonal complement, keyed as a point like them.
+    The points are the 1-dimensional subspaces, right after the zero one
+    in `all_subspaces` order; u's mask marks each of u's points
+    (`matq._points`, each as its row with a leading 1).  u^perp is the
+    meet of the hyperplanes x^perp over u's basis rows x (the whole space
+    when u = 0), and each hyperplane is keyed by the point its normal
+    spans, read off its RREF basis (`matq._normal`).
     """
     subspaces = list(all_subspaces(n, F, override))
-    points = {}
-
-    def bit(vec):
-        return 1 << points.setdefault(tuple(vec), len(points))
-
-    masks = []
-    for u in subspaces:
-        mask = 0
-        for lead in range(u.dim):
-            head = (0,) * lead + (1,)
-            for tail in product(range(F.q), repeat=u.dim - lead - 1):
-                mask |= bit(linear_combination(head + tail, u.basis, n, F))
-        masks.append(mask)
-    hyperplanes = {}
-    for u, mask in zip(subspaces, masks):
-        if u.dim == n - 1:
-            hyperplanes[bit(orthogonal_complement(u).basis[0])] = mask
+    dims = [u.dim for u in subspaces]
+    bits = {u.basis[0]: 1 << j
+            for j, u in enumerate(subspaces[1:dims.count(1) + 1])}
+    masks = [sum(map(bits.__getitem__, _points(u))) for u in subspaces]
+    hyperplanes = {bits[_normal(u)]: mask
+                   for u, mask in zip(subspaces, masks) if u.dim == n - 1}
     index = {mask: h for h, mask in enumerate(masks)}
     perps = []
     for u in subspaces:
         meet = masks[-1]
         for row in u.basis:
-            meet &= hyperplanes[bit(row)]
+            meet &= hyperplanes[bits[row]]
         perps.append(index[meet])
-    return _SubspaceTable(subspaces, [u.dim for u in subspaces], perps, masks)
+    return _SubspaceTable(subspaces, dims, perps, masks,
+                          {u: h for h, u in enumerate(subspaces)}, {})
 
 
 def _lattice_tables(profile: Profile, override=False):
     """The subspace table of every distinct n of the profile, after the
     lattice transform guard: |L| * sum |L_i| units, from q-binomials, so an
-    oversized lattice is refused before it is listed."""
+    oversized lattice is refused before it is listed.  The guard runs on
+    every call; each table is built once per profile and kept on it (slot
+    `_lattice`), so the code's route, its dual's (`dual` keeps the profile)
+    and `macwilliams_support` read the same table and `Subspace`s."""
     check_enum(_transform_units(_lattice_sizes(profile)), override,
                what="lattice transform")
-    return {n: _subspace_table(n, profile.field, override)
-            for n in set(profile.ns)}
+    tables = profile._lattice
+    for n in profile.ns:
+        if n not in tables:
+            tables[n] = _subspace_table(n, profile.field, override)
+    return tables
+
+
+def _kernel(table, key, build):
+    """The kernel the table keeps under key: the Moebius kernel under None,
+    the support kernel of m under m; build(table) on first use."""
+    kernel = table.kernels.get(key)
+    if kernel is None:
+        kernel = table.kernels[key] = build(table)
+    return kernel
 
 
 def _transform_units(sizes):
@@ -344,15 +370,17 @@ def _exact_quotient(acc, cardinality):
     return quot
 
 
-def _dense(counts, axes):
-    """counts, a map from key tuples (one element of axes[i] per block),
-    laid out densely over the product of the axes, last block fastest."""
-    index = [{a: j for j, a in enumerate(axis)} for axis in axes]
-    dense = [0] * prod(len(axis) for axis in axes)
-    for key, c in counts.items():
+def _dense(pairs, positions):
+    """(key, count) pairs laid out densely over the product of the axes,
+    last block fastest: positions[i] maps key[i] to its position on block
+    i's axis (a table's `positions`, or range(n + 1), whose ranks are their
+    own positions)."""
+    sizes = [len(index) for index in positions]
+    dense = [0] * prod(sizes)
+    for key, c in pairs:
         pos = 0
-        for idx, a in zip(index, key):
-            pos = pos * len(idx) + idx[a]
+        for index, size, a in zip(positions, sizes, key):
+            pos = pos * size + index[a]
         dense[pos] += c
     return dense
 
@@ -364,19 +392,28 @@ def _product_transform(dense, axes, kernels):
     itertools.product order (see `_dense`); kernels[i][h] is the column
     (K_i(u, h) for u in axes[i]) at position h of axes[i], and is only
     read for the h with a nonzero count.  Each step contracts the leading
-    block and rotates it to the back.  Values come in
+    block and rotates it to the back; a u's first term is taken as it is,
+    and a coefficient 1 adds without a multiply.  Values come in
     itertools.product(*axes) order.
     """
     for axis, kernel in zip(axes, kernels):
         width = len(dense) // len(axis)
-        out = [[0] * width for _ in axis]
+        out = [None] * len(axis)
         for h in range(len(axis)):
             row = dense[h * width:(h + 1) * width]
             if any(row):
                 for u, c in enumerate(kernel[h]):
                     if c:
-                        out[u] = [a + c * x for a, x in zip(out[u], row)]
-        dense = list(chain.from_iterable(zip(*out)))
+                        acc = out[u]
+                        if acc is None:
+                            out[u] = row if c == 1 else [c * x for x in row]
+                        elif c == 1:
+                            out[u] = [a + x for a, x in zip(acc, row)]
+                        else:
+                            out[u] = [a + c * x for a, x in zip(acc, row)]
+        zero = [0] * width
+        dense = list(chain.from_iterable(
+            zip(*[zero if acc is None else acc for acc in out])))
     return zip(product(*axes), dense)
 
 
@@ -424,12 +461,12 @@ def macwilliams_support(dist: SupportDistribution, cardinality: int,
     """Support distribution of the dual code, from the one of the code."""
     profile = _counted_profile(dist, cardinality)
     tables = _lattice_tables(profile, override)
-    by_shape = {(n, m): _support_kernel(m, tables[n])
-                for n, m in set(profile.blocks)}
     axes = [tables[n].subspaces for n in profile.ns]
     values = _product_transform(
-        _dense({h.parts: c for h, c in dist.counts.items()}, axes), axes,
-        [by_shape[block] for block in profile.blocks])
+        _dense([(h.parts, c) for h, c in dist.counts.items()],
+               [tables[n].positions for n in profile.ns]), axes,
+        [_kernel(tables[n], m, partial(_support_kernel, m))
+         for n, m in profile.blocks])
     return SupportDistribution(profile, {
         SubspaceTuple(profile, u, check=False): _exact_quotient(acc, cardinality)
         for u, acc in values if acc})
@@ -451,9 +488,11 @@ def macwilliams_ranklist(dist: RankListDistribution,
     profile = _counted_profile(dist, cardinality)
     q = profile.field.q
     axes = [range(n + 1) for n in profile.ns]
+    kernels = {block: _ranklist_kernel(*block, q)
+               for block in set(profile.blocks)}
     values = _product_transform(
-        _dense(dist.counts, axes), axes,
-        [_ranklist_kernel(n, m, q) for n, m in profile.blocks])
+        _dense(dist.counts.items(), axes), axes,
+        [kernels[block] for block in profile.blocks])
     return RankListDistribution(profile, {
         u: _exact_quotient(acc, cardinality) for u, acc in values if acc})
 
@@ -467,10 +506,10 @@ def binomial_moment_check(code: LinearCode, override=False) -> bool:
     _, rld, _ = brute_distributions(code, override)
     _, rld_dual, _ = brute_distributions(dual(code), override)
     axes = [range(n + 1) for n in ns]
-    lhs = _product_transform(_dense(rld.counts, axes), axes, [
+    lhs = _product_transform(_dense(rld.counts.items(), axes), axes, [
         [[gaussian_binomial(n - h, u - h, q) for u in range(n + 1)]
          for h in range(n + 1)] for n in ns])
-    rhs = _product_transform(_dense(rld_dual.counts, axes), axes, [
+    rhs = _product_transform(_dense(rld_dual.counts.items(), axes), axes, [
         [[gaussian_binomial(n - h, u, q) for u in range(n + 1)]
          for h in range(n + 1)] for n in ns])
     for (u, left), (_, right) in zip(lhs, rhs):

@@ -301,6 +301,7 @@ class Field:
         self.k = k
         self.q = p ** k
         self.modulus = tuple(modulus)  # ascending, length k+1, monic
+        self._hash = hash((p, k, self.modulus))
         self._init_tables()
 
     # -- representation -----------------------------------------------------
@@ -310,11 +311,12 @@ class Field:
         return f"q={self.p}^{self.k};mod={mod}"
 
     def __eq__(self, other):
-        return (isinstance(other, Field)
-                and (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus))
+        return self is other or (
+            isinstance(other, Field)
+            and (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus))
 
     def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
+        return self._hash
 
     # -- raw polynomial view ------------------------------------------------
 

@@ -10,7 +10,11 @@ semi-echelon insert and canonical form; `_rref_rows` is the two in turn,
 read back as codes.  Over GF(2) a row is one int, entry j at bit j, rows
 add by XOR, and `_extend_bits` is the packed semi-echelon insert of
 M4RI-style elimination, keyed by each row's lowest set bit.  Every other
-field keeps rows as lists of codes (`_field_rows`, reduced by `_extend`).
+field keeps rows as lists of codes (`_field_rows`, reduced by `_extend`),
+on a row arithmetic picked once per field (`_code_arith`): up to
+`field._FULL_TABLE_Q` an entry of v + c * row is one XOR with a row of
+the field's product table when p = 2, one product- and one sum-table
+lookup for odd p; above it, `Field` method calls.
 """
 
 from __future__ import annotations
@@ -82,20 +86,19 @@ def _extend(echelon, rows, k, F):
     with each row 1 at its pivot and 0 at the pivots before it, until its
     rank reaches k, and return it: each row is cleared at every pivot in
     order, then kept scaled to a leading 1 unless it is zero."""
-    add, mul, neg = F.add, F.mul, F.neg
+    _, addmul, scale = _code_arith(F)
+    neg = F.neg
     for v in rows:
         if len(echelon) == k:
             break
         for c, row in echelon:
             f = v[c]
             if f:
-                nf = neg(f)
-                v = [add(x, mul(nf, y)) if y else x for x, y in zip(v, row)]
+                v = addmul(v, neg(f), row)
         for lead, x in enumerate(v):
             if x:
                 if x != 1:
-                    inv = F.inv(x)
-                    v = [mul(inv, y) for y in v]
+                    v = scale(v, F.inv(x))
                 echelon.append((lead, v))
                 break
     return echelon
@@ -105,14 +108,14 @@ def _reduced(echelon, F):
     """`_reduced_bits` on rows of field codes: the RREF as a tuple of rows
     by ascending pivot, each cleared at the later rows' pivots, from the
     last pivot down."""
-    add, mul, neg = F.add, F.mul, F.neg
+    _, addmul, _ = _code_arith(F)
+    neg = F.neg
     out = []
     for lead, v in sorted(echelon, reverse=True):
         for c, row in out:
             f = v[c]
             if f:
-                nf = neg(f)
-                v = [add(x, mul(nf, y)) if y else x for x, y in zip(v, row)]
+                v = addmul(v, neg(f), row)
         out.append((lead, v))
     return tuple([tuple(v) for _, v in reversed(out)])
 
@@ -129,7 +132,11 @@ def _rref_rows(rows, F):
 
 def _pack_bits(row):
     """A row of GF(2) codes as one int, entry j at bit j."""
-    return sum(1 << j for j, x in enumerate(row) if x)
+    out = 0
+    for j, x in enumerate(row):
+        if x:
+            out |= 1 << j
+    return out
 
 
 def _extend_bits(echelon, rows, k):
@@ -191,13 +198,53 @@ _BITS = _RowOps(_pack_bits,
                 xor, _combine_bits, _extend_bits, _reduced_bits)
 
 
+class _CodeArith(NamedTuple):
+    """Row arithmetic on lists of codes over one field: add(u, v) is u + v,
+    addmul(v, c, row) is v + c * row, and scale(v, c) is c * v."""
+    add: Callable
+    addmul: Callable
+    scale: Callable
+
+
+@lru_cache(maxsize=None)
+def _code_arith(F):
+    """The row arithmetic of F's code rows, picked once per field: with
+    F's tables (q <= `field._FULL_TABLE_Q`), an entry is one lookup in a
+    row of the product table, and a sum an XOR of codes when p = 2 or one
+    lookup in the sum table otherwise; without them, `Field` method calls."""
+    mul_tab, add_tab = F._mul_tab, F._add_tab
+    if mul_tab is None:
+        add, mul = F.add, F.mul
+        return _CodeArith(
+            lambda u, v: list(map(add, u, v)),
+            lambda v, c, row: [add(x, mul(c, y)) if y else x
+                               for x, y in zip(v, row)],
+            lambda v, c: [mul(c, y) for y in v])
+
+    def scale(v, c):
+        return list(map(mul_tab[c].__getitem__, v))
+
+    if F.p == 2:
+        def addmul(v, c, row):
+            times = mul_tab[c]
+            return [x ^ times[y] for x, y in zip(v, row)]
+        return _CodeArith(lambda u, v: list(map(xor, u, v)), addmul, scale)
+
+    def addmul(v, c, row):
+        times = mul_tab[c]
+        return [add_tab[x][times[y]] for x, y in zip(v, row)]
+    return _CodeArith(lambda u, v: [add_tab[x][y] for x, y in zip(u, v)],
+                      addmul, scale)
+
+
 @lru_cache(maxsize=None)
 def _field_rows(F):
-    """Rows as lists of field codes, for any F; built once per field."""
+    """Rows as lists of field codes, for any F; built once per field, on
+    the row arithmetic `_code_arith` picks for it."""
     return _RowOps(
         list,
         lambda row, width: tuple(row),
-        lambda u, v: list(map(F.add, u, v)),
+        _code_arith(F).add,
         lambda coeffs, rows, width: linear_combination(coeffs, rows, width, F),
         lambda echelon, rows, k: _extend(echelon, rows, k, F),
         lambda echelon: _reduced(echelon, F))
@@ -211,12 +258,11 @@ def _row_ops(F):
 
 def linear_combination(coeffs, rows, width, F):
     """sum_g coeffs[g] * rows[g] as a list of `width` field codes."""
+    addmul = _code_arith(F).addmul
     out = [0] * width
     for c, row in zip(coeffs, rows):
         if c:
-            for pos, x in enumerate(row):
-                if x:
-                    out[pos] = F.add(out[pos], F.mul(c, x))
+            out = addmul(out, c, row)
     return out
 
 
@@ -240,7 +286,7 @@ def rank(m: Mat) -> int:
 class Subspace:
     """A subspace of GF(q)^n, stored by its canonical RREF basis."""
 
-    __slots__ = ("field", "ambient_dim", "basis", "_hash")
+    __slots__ = ("field", "ambient_dim", "basis", "dim", "_hash")
 
     def __init__(self, field, ambient_dim, basis_rows, *, canonical=False):
         self.field = field
@@ -252,13 +298,10 @@ class Subspace:
             # Mat raises ValueError for an entry outside GF(q)
             basis_rows = _rref_rows(Mat(field, rows).rows, field)[0]
         self.basis = tuple(tuple(r) for r in basis_rows)
+        self.dim = len(self.basis)
         # set once: a Subspace is never mutated, and the lattice transforms
         # hash the same ones over and over
         self._hash = hash((field.q, ambient_dim, self.basis))
-
-    @property
-    def dim(self):
-        return len(self.basis)
 
     @classmethod
     def zero(cls, field, n):
@@ -281,9 +324,10 @@ class Subspace:
         return all(self.contains_vector(r) for r in other.basis)
 
     def __eq__(self, other):
-        return (isinstance(other, Subspace) and self.field == other.field
-                and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
+        return self is other or (
+            isinstance(other, Subspace) and self.field == other.field
+            and self.ambient_dim == other.ambient_dim
+            and self.basis == other.basis)
 
     def __hash__(self):
         return self._hash
@@ -303,20 +347,50 @@ def colspace(m: Mat) -> Subspace:
     return _span(m.field, m.nrows, list(zip(*m.rows)))
 
 
+def _kernel_rows(rows, pivots, width, F):
+    """A basis of {v : rows v = 0} for RREF rows with these pivots, read
+    off them: per free column f, 1 at f and -row[f] at each row's pivot."""
+    taken = set(pivots)
+    basis = []
+    for f in range(width):
+        if f not in taken:
+            v = [0] * width
+            v[f] = 1
+            for row, p in zip(rows, pivots):
+                v[p] = F.neg(row[f])
+            basis.append(v)
+    return basis
+
+
+def _normal(u: Subspace):
+    """The row with a leading 1 spanning u^perp, for a hyperplane u of
+    F^n: its kernel row read off the RREF basis, scaled."""
+    F = u.field
+    (v,) = _kernel_rows(u.basis, [row.index(1) for row in u.basis],
+                        u.ambient_dim, F)
+    lead = next(filter(None, v))
+    return tuple(v if lead == 1 else _code_arith(F).scale(v, F.inv(lead)))
+
+
+def _points(u: Subspace):
+    """Every point (1-dimensional subspace) of u once, as its row with a
+    leading 1: each RREF basis row plus every vector of the span of the
+    rows below it."""
+    addmul = _code_arith(u.field).addmul
+    scalars = range(u.field.q)
+    points, below = [], [[0] * u.ambient_dim]
+    for i in range(u.dim - 1, -1, -1):
+        row = u.basis[i]
+        points += [tuple(addmul(v, 1, row)) for v in below]
+        if i:
+            below = [addmul(v, c, row) for c in scalars for v in below]
+    return points
+
+
 def nullspace(m: Mat) -> Subspace:
     """Right kernel {v : m v = 0} as a canonical subspace of F^ncols."""
-    F = m.field
-    rows, pivots = _rref_rows(m.rows, F)
-    pivset = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivset]
-    basis = []
-    for f in free:
-        v = [0] * m.ncols
-        v[f] = 1
-        for r, p in enumerate(pivots):
-            v[p] = F.neg(rows[r][f])
-        basis.append(v)
-    return _span(F, m.ncols, basis)
+    rows, pivots = _rref_rows(m.rows, m.field)
+    return _span(m.field, m.ncols, _kernel_rows(rows, pivots, m.ncols, m.field))
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
@@ -325,10 +399,19 @@ def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     return _span(u.field, u.ambient_dim, list(u.basis + v.basis))
 
 
+def _perp_rows(rows, width, F):
+    """The RREF rows of {v : rows v = 0} for RREF rows of F^width: the
+    kernel read off them (each row's pivot is its leading 1), reduced."""
+    return _rref_rows(_kernel_rows(rows, [row.index(1) for row in rows],
+                                   width, F), F)[0]
+
+
 def orthogonal_complement(u: Subspace) -> Subspace:
     if u.dim == 0:
         return Subspace.full(u.field, u.ambient_dim)
-    return nullspace(Mat(u.field, u.basis))
+    return Subspace(u.field, u.ambient_dim,
+                    _perp_rows(u.basis, u.ambient_dim, u.field),
+                    canonical=True)
 
 
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
