@@ -252,7 +252,7 @@ def unflatten(profile: Profile, vec) -> MatrixTuple:
 class SubspaceTuple:
     """An element of the product lattice: one subspace of F^{n_i} per block."""
 
-    __slots__ = ("profile", "parts")
+    __slots__ = ("profile", "parts", "_hash")
 
     def __init__(self, profile: Profile, parts, *, check=True):
         self.profile = profile
@@ -263,6 +263,9 @@ class SubspaceTuple:
             for (n, _), s in zip(profile.blocks, self.parts):
                 if s.ambient_dim != n or s.field != profile.field:
                     raise ProfileMismatch("subspace ambient does not match block")
+        # set once, as `Subspace` does: a tuple is never mutated, and the
+        # support dicts hash the same ones over and over
+        self._hash = hash(self.parts)
 
     @classmethod
     def zero(cls, profile):
@@ -298,7 +301,7 @@ class SubspaceTuple:
                 and self.parts == other.parts)
 
     def __hash__(self):
-        return hash(self.parts)
+        return self._hash
 
     def __repr__(self):
         return "(" + " | ".join(repr(s) for s in self.parts) + ")"

@@ -23,7 +23,8 @@ before either starts (see `minimum_distance`):
   RREF bases of the U_i^perp, block by block and row by row, each row
   adding its constraint rows: a prefix of rank k is pruned, since every
   completion keeps that rank, and the first tuple of rank < k ends it.
-- the walk ranks every block of all q^k codewords.
+- the walk ranks every block of all q^k codewords: a single-row block by
+  whether its row is zero, any other by one semi-echelon insert.
 
 The walk is preferred when q^k is below `_WORDS_PER_UNIT` times the lattice
 cost; the other route runs when only it fits the enumeration guard
@@ -244,15 +245,22 @@ def minimum_distance(code: LinearCode, override=False) -> int:
 
 
 def _walk_distance(code: LinearCode, override=False) -> int:
-    """Least sum-rank weight over the nonzero words of `_words`, each block
-    ranked by one semi-echelon insert; weight 1 ends the walk."""
+    """Least sum-rank weight over the nonzero words of `_words`; weight 1
+    ends the walk.  A single-row block (n_i = 1) has rank 1 exactly when
+    its row is not the zero row, so it costs one comparison; every other
+    block is ranked by one semi-echelon insert."""
     ops = _row_ops(code.field)
     extend, spans = ops.extend, _spans(code.profile.ns)
+    rows = [(a, ops.pack([0] * m))
+            for (a, b), m in zip(spans, code.profile.ms) if b - a == 1]
+    spans = [(a, b) for a, b in spans if b - a > 1]
     words = _words(code, ops, override=override)
     next(words)  # the zero word
     best = None
     for word in words:
         w = 0
+        for a, zero in rows:
+            w += word[a] != zero
         for a, b in spans:
             w += len(extend([], word[a:b], b - a))
         if best is None or w < best:
@@ -278,7 +286,11 @@ def _walk_distance(code: LinearCode, override=False) -> int:
 # 0.32 ms against 5.0 ms (the GF(2) 5x5 Gabidulin code).  Re-timed the same
 # way on the same 30 codes once field rows read the field's tables: any
 # ratio in (0.35, 6.75) still picks the faster route on every one, so 4
-# stays.
+# stays.  Re-timed the same way once single-row blocks were ranked by a
+# zero test: the GF(2) (1x7)^4 (1x1)^8 code of 256 words against 793 units
+# now walks in 0.42 ms against 10 ms, and any ratio in (0.35, 6.75] still
+# picks the faster route on all 30 (bounded by the same two codes as
+# above), so 4 stays.
 _WORDS_PER_UNIT = 4
 
 

@@ -184,7 +184,9 @@ def brute_distributions(code: LinearCode, override=False):
 # (so would 1 or 2 tuples per word with any contraction term, 3 or 4 with
 # 1/32 or 1/64 words per contraction) and ties for the least worst
 # slowdown on the 43: 3.1x (GF(2) 4x4, k = 7, lattice 3.2 against 1.1 ms;
-# 7 codes miss).
+# 7 codes miss).  The zero test for single-row blocks changed only the
+# distance walk (`code._walk_distance`); this support walk still ranks
+# every block's columns, so both constants stay as they are.
 _TUPLES_PER_WORD = 2
 _CONTRACTIONS_PER_WORD = 64
 

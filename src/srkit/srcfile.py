@@ -18,26 +18,23 @@ Blocks inside a stanza are separated by exactly one blank line; writing then
 parsing a canonical file is the identity byte for byte.
 
 Each block is written straight from the code's flat rows through
-`ambient._cells`, and read straight into them through `ambient._join`, in
-user block order.  Every number is ASCII decimal (`guard._decimal`), and the
-field and dim lines hold exactly their tokens.  Each block line's entries
-are checked once, by `Mat` (through `parse_mat`), then its shape.
+`ambient._cells`, in user block order.  Each block line is read straight
+into ints with no per-entry call: it is split on ';' and whitespace, all
+its entries' digits are checked at once, then their largest value against
+q, then the shape its row lengths give.  The flat layout is block-major and
+row-major, so a generator's flat row is its block lines' entries joined in
+the profile's block order.  Every number is ASCII decimal (`guard._decimal`
+for the header lines), and the field and dim lines hold exactly their
+tokens.
 """
 
 from __future__ import annotations
 
-from .ambient import (
-    _cells,
-    _join,
-    format_profile,
-    parse_profile,
-    profile_create,
-)
+from .ambient import _cells, format_profile, parse_profile, profile_create
 from .code import LinearCode, _from_rows
 from .errors import BadBlock, ParseError
 from .field import field_create
 from .guard import _decimal
-from .matq import parse_mat
 
 MAGIC = "srcv1"
 
@@ -63,27 +60,28 @@ def write_src(code: LinearCode, path) -> None:
         fh.write(write_src_text(code))
 
 
+def _line(lines, pos, prefix=""):
+    """Line pos + 1 of `lines`, which must start with `prefix`; the None
+    past the last line is the end of the file."""
+    line = lines[pos]
+    if line is None:
+        raise ParseError("unexpected end of file", line=pos + 1)
+    if not line.startswith(prefix):
+        raise ParseError(f"expected {prefix!r}, got {line!r}", line=pos + 1)
+    return line
+
+
 def parse_src_text(text: str) -> LinearCode:
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    pos = 0
-
-    def take(expect_prefix=None):
-        nonlocal pos
-        if pos >= len(lines):
-            raise ParseError("unexpected end of file", line=pos + 1)
-        line = lines[pos]
-        pos += 1
-        if expect_prefix is not None and not line.startswith(expect_prefix):
-            raise ParseError(f"expected {expect_prefix!r}, got {line!r}", line=pos)
-        return line
-
-    if take() != MAGIC:
+    end = len(lines)
+    lines.append(None)  # read past the last line, `_line` ends the file
+    if _line(lines, 0) != MAGIC:
         raise ParseError(f"bad magic, expected {MAGIC!r}", line=1)
     try:
         # exactly four tokens, else the unpacking raises ValueError
-        _, p, k, mod = take("field ").split(" ")
+        _, p, k, mod = _line(lines, 1, "field ").split(" ")
         if not mod.startswith("mod="):
             raise ValueError
         p, k = _decimal(p), _decimal(k)
@@ -93,41 +91,72 @@ def parse_src_text(text: str) -> LinearCode:
         raise ParseError("malformed field line", line=2)
     field = field_create(p, k, mod)
     try:
-        raw_blocks = parse_profile(take("profile ").removeprefix("profile "))
+        raw_blocks = parse_profile(
+            _line(lines, 2, "profile ").removeprefix("profile "))
         profile = profile_create(field, raw_blocks)
     except BadBlock as err:
         raise ParseError(str(err), line=3) from None
     try:
-        _, dim = take("dim ").split(" ")
+        _, dim = _line(lines, 3, "dim ").split(" ")
         dim = _decimal(dim)
     except ValueError:
         raise ParseError("malformed dim line", line=4)
+    q, order = field.q, profile.permutation
     gens = []
+    pos = 4  # 0-based: the line read next
     for i in range(1, dim + 1):
-        header = take("gen ")
+        header = _line(lines, pos, "gen ")
         if header != f"gen {i}":
-            raise ParseError(f"expected 'gen {i}', got {header!r}", line=pos)
+            raise ParseError(f"expected 'gen {i}', got {header!r}",
+                             line=pos + 1)
         blocks = []
         for j, (n, m) in enumerate(raw_blocks):
+            pos += 1
             if j > 0:
-                blank = take()
-                if blank != "":
+                if lines[pos] != "":
+                    _line(lines, pos)  # raises if the file ended
                     raise ParseError("expected blank line between blocks",
-                                     line=pos)
-            mat_line = take()
+                                     line=pos + 1)
+                pos += 1
+            line = lines[pos]
+            if line is None:
+                _line(lines, pos)  # raises: the file ended
+            # rows split on ';' and entries on whitespace, then one check of
+            # every entry's digits and one of their largest value
             try:
-                mat = parse_mat(field, mat_line)
+                rows = line.split(";")
+                flat = rows[0].split()
+                cols = len(flat)
+                for row in rows[1:]:
+                    row = row.split()
+                    if len(row) != cols:
+                        raise ValueError("ragged rows")
+                    flat += row
+                if flat:
+                    digits = "".join(flat)
+                    if not (digits.isascii() and digits.isdigit()):
+                        raise ValueError("an entry is not ASCII decimal")
+                    flat = list(map(int, flat))
+                    if max(flat) >= q:
+                        raise ValueError(f"an entry is outside GF({q})")
             except ValueError:
-                raise ParseError(f"malformed matrix {mat_line!r}", line=pos)
-            if (mat.nrows, mat.ncols) != (n, m):
+                raise ParseError(f"malformed matrix {line!r}",
+                                 line=pos + 1) from None
+            if (len(rows), cols) != (n, m):
                 raise ParseError(
                     f"block {j + 1} of gen {i} has shape "
-                    f"{mat.nrows}x{mat.ncols}, profile says {n}x{m}", line=pos)
-            blocks.append(sum(mat.rows, ()))
-        gens.append(profile.from_user_order(blocks))
-    if pos != len(lines):
+                    f"{len(rows)}x{cols}, profile says {n}x{m}", line=pos + 1)
+            blocks.append(flat)
+        # the flat layout is block-major and row-major, so a generator's
+        # row is its blocks' entries in the profile's block order
+        row = []
+        for j in order:
+            row += blocks[j]
+        gens.append(row)
+        pos += 1
+    if pos != end:
         raise ParseError("trailing content after last generator", line=pos + 1)
-    code = _from_rows(profile, _join(profile, gens))
+    code = _from_rows(profile, gens)
     if code.k != dim:
         raise ParseError(f"generators span dimension {code.k}, header says {dim}")
     return code

@@ -1,3 +1,4 @@
+import math
 import random
 from unittest import mock
 from itertools import product
@@ -61,7 +62,12 @@ from srkit.code import (
     systematic_form,
     zero_code,
 )
-from srkit.constructions import construct_mds_lift, gabidulin_mrd
+from srkit.constructions import (
+    construct_mds_lift,
+    construct_msrd111,
+    construct_msrd111_ext,
+    gabidulin_mrd,
+)
 from srkit.errors import (
     IndexOutOfTheoremRange,
     NotMsrd,
@@ -75,6 +81,30 @@ from srkit.matq import Mat, Subspace, _field_rows, _row_ops
 F2 = field_create(2)
 F3 = field_create(3)
 F4 = field_create(2, 2)
+
+
+@st.composite
+def single_row_codes(draw):
+    """A random code over GF(q), q in ORDERS, on 4 to 8 blocks of 1 x m
+    (m <= 4) and at most one block of 2 or 3 rows, with at most 2^9 words.
+    `small_codes` draws at most 3 blocks.  k runs from 1 up, and a k = 1
+    code whose generator has full rank in every block has distance d*."""
+    q = draw(st.sampled_from(ORDERS))
+    blocks = [(1, draw(st.integers(1, 4)))
+              for _ in range(draw(st.integers(4, 8)))]
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 3))
+        blocks.insert(draw(st.integers(0, len(blocks))),
+                      (n, draw(st.integers(n, 4))))
+    top = min(int(math.log(1 << 9, q) + 1e-9),
+              sum(n * m for n, m in blocks))
+    k = draw(st.integers(1, top))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    F = field_from_order(q)
+    while True:
+        C = random_code(rng, F, blocks, k)
+        if C.k == k:
+            return C
 
 
 class TestCreate:
@@ -272,6 +302,34 @@ class TestWalk:
             assert _walk_distance(C, override=True) == expect
             monkeypatch.setenv("SRKIT_MAX_ENUM", str(size))
             assert _walk_distance(C) == expect
+
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(single_row_codes())
+    def test_single_row_blocks_match_the_oracle(self, C):
+        # each 1 x m block is ranked by a zero test, the rest by the insert
+        expect = oracle_min_distance(C)
+        assert expect <= _singleton_cap(C.profile, C.k)
+        assert _walk_distance(C) == expect
+
+    @pytest.mark.parametrize("q, make, args", [
+        (2, construct_msrd111_ext, (2, 3)),   # (1x2)^4 (1x1)^3
+        (2, construct_msrd111_ext, (3, 2)),   # (1x3)^3 (1x1)^4
+        (3, construct_msrd111_ext, (2, 2)),   # (1x2)^3 (1x1)^3
+        (3, construct_msrd111_ext, (3, 1)),   # (1x3)^2 (1x1)^4
+        (4, construct_msrd111_ext, (2, 1)),   # (1x2)^2 (1x1)^3
+        (9, construct_msrd111_ext, (2, 2)),
+        (3, construct_msrd111, ([(2, 2)], 3)),   # 2x2 (1x1)^3
+        (4, construct_msrd111, ([(2, 2)], 3)),
+        (8, construct_msrd111, ([(2, 2)], 4)),   # 2x2 (1x1)^4
+        (8, construct_msrd111, ([(3, 3)], 3)),   # 3x3 (1x1)^3
+        (9, construct_msrd111, ([(2, 3)], 5)),   # 2x3 (1x1)^5
+    ])
+    def test_single_row_walk_reaches_d_star(self, q, make, args):
+        # MSRD codes on single-row blocks: the walk ends at d* itself
+        C = make(field_from_order(q), *args)
+        cap = _singleton_cap(C.profile, C.k)
+        assert _walk_distance(C) == oracle_min_distance(C) == cap
 
 
 def _starts(C):

@@ -140,3 +140,13 @@ def test_only_ambient_and_code_build_tuples():
              for name in _names(node.func)
              if name in ("MatrixTuple", "code_create")]
     assert found == []
+
+
+def test_reader_builds_no_matrix():
+    # the .src reader reads each block line straight into flat rows: no
+    # per-entry `Mat` and no `parse_mat` in it
+    path = SRC / "srcfile.py"
+    found = [f"{path.name}:{node.lineno} {name}"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             for name in _names(node) if name in ("Mat", "parse_mat")]
+    assert found == []

@@ -1,16 +1,19 @@
 import io
 import pathlib
+import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ORDERS, msrd_d6_code, small_codes
-from srkit.ambient import MatrixTuple, profile_create
+from srkit.ambient import MatrixTuple, _join, parse_profile, profile_create
 from srkit.cli import main
-from srkit.code import code_create, zero_code
-from srkit.errors import ParseError
+from srkit.code import _from_rows, code_create, zero_code
+from srkit.errors import BadBlock, ParseError
 from srkit.field import field_create
-from srkit.matq import Mat
+from srkit.guard import _decimal
+from srkit.matq import Mat, parse_mat
 from srkit.srcfile import parse_src, parse_src_text, write_src_text
 
 HERE = pathlib.Path(__file__).resolve().parent
@@ -156,6 +159,174 @@ class TestSrcFormat:
         assert write_src_text(Z) == \
             "srcv1\nfield 2 2 mod=1,1,1\nprofile 1x1,2x3,1x2\ndim 0\n"
         assert parse_src_text(write_src_text(Z)) == Z
+
+
+def reference_parse_src_text(text):
+    """The slow reference reader: every block line through `parse_mat`
+    (one `Mat`, each entry checked on its own), its shape read off the
+    matrix, and the flat rows filled entry by entry by `ambient._join`."""
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    pos = 0
+
+    def take(expect_prefix=None):
+        nonlocal pos
+        if pos >= len(lines):
+            raise ParseError("unexpected end of file", line=pos + 1)
+        line = lines[pos]
+        pos += 1
+        if expect_prefix is not None and not line.startswith(expect_prefix):
+            raise ParseError(f"expected {expect_prefix!r}, got {line!r}",
+                             line=pos)
+        return line
+
+    if take() != "srcv1":
+        raise ParseError("bad magic, expected 'srcv1'", line=1)
+    try:
+        _, p, k, mod = take("field ").split(" ")
+        if not mod.startswith("mod="):
+            raise ValueError
+        p, k = _decimal(p), _decimal(k)
+        mod = [_decimal(c) for c in reversed(mod[4:].split(","))]
+    except ValueError:
+        raise ParseError("malformed field line", line=2)
+    field = field_create(p, k, mod)
+    try:
+        raw_blocks = parse_profile(take("profile ").removeprefix("profile "))
+        profile = profile_create(field, raw_blocks)
+    except BadBlock as err:
+        raise ParseError(str(err), line=3) from None
+    try:
+        _, dim = take("dim ").split(" ")
+        dim = _decimal(dim)
+    except ValueError:
+        raise ParseError("malformed dim line", line=4)
+    gens = []
+    for i in range(1, dim + 1):
+        header = take("gen ")
+        if header != f"gen {i}":
+            raise ParseError(f"expected 'gen {i}', got {header!r}", line=pos)
+        blocks = []
+        for j, (n, m) in enumerate(raw_blocks):
+            if j > 0 and take() != "":
+                raise ParseError("expected blank line between blocks",
+                                 line=pos)
+            mat_line = take()
+            try:
+                mat = parse_mat(field, mat_line)
+            except ValueError:
+                raise ParseError(f"malformed matrix {mat_line!r}", line=pos)
+            if (mat.nrows, mat.ncols) != (n, m):
+                raise ParseError(
+                    f"block {j + 1} of gen {i} has shape "
+                    f"{mat.nrows}x{mat.ncols}, profile says {n}x{m}", line=pos)
+            blocks.append(sum(mat.rows, ()))
+        gens.append(profile.from_user_order(blocks))
+    if pos != len(lines):
+        raise ParseError("trailing content after last generator", line=pos + 1)
+    code = _from_rows(profile, _join(profile, gens))
+    if code.k != dim:
+        raise ParseError(
+            f"generators span dimension {code.k}, header says {dim}")
+    return code
+
+
+def _block_lines(lines):
+    """The indices of the block lines of a written .src text's lines."""
+    return [i for i, line in enumerate(lines)
+            if i >= 4 and line and not line.startswith("gen ")]
+
+
+def _respell(line, rng):
+    """A block line as the writer never writes it: runs of spaces or tabs
+    between entries, around ';' and at both ends, and leading zeros."""
+    def gap():
+        return "".join(rng.choice(" \t") for _ in range(rng.randrange(1, 4)))
+
+    def pad():
+        return gap() if rng.random() < 0.3 else ""
+
+    rows = [gap().join("0" * rng.randrange(3) + x for x in row.split(" "))
+            for row in line.split(";")]
+    return pad() + ";".join(pad() + row + pad() for row in rows) + pad()
+
+
+def _corrupt(lines, q, rng):
+    """`lines` with one fault: a bad digit, an entry >= q, a ragged row, a
+    wrong shape (also with the right entry count) or a missing blank
+    line."""
+    lines = list(lines)
+    at = rng.choice(_block_lines(lines))
+    rows = [row.split(" ") for row in lines[at].split(";")]
+    row = rng.choice(rows)
+    kind = rng.choice(["digit", "range", "ragged", "shape", "reshape",
+                       "blank"])
+    if kind == "digit":
+        row[rng.randrange(len(row))] = rng.choice(
+            ["a", "+1", "-1", "1.0", "0x1", "1_0", "\u0661", "\uff11"])
+    elif kind == "range":
+        row[rng.randrange(len(row))] = str(q + rng.randrange(3))
+    elif kind == "ragged":
+        if len(row) > 1 and rng.random() < 0.5:
+            row.pop()
+        else:
+            row.append("0")
+    elif kind == "shape":
+        if rng.random() < 0.5:
+            rows.append(["0"] * len(rows[0]))
+        else:
+            for r in rows:
+                r.append("0")
+    elif kind == "reshape":
+        # the same entries in rows of another length
+        flat = [x for r in rows for x in r]
+        half = len(flat) // 2
+        if len(rows) > 1:
+            rows = [flat]
+        elif len(flat) == 1:
+            rows = [flat, flat]
+        else:
+            rows = [flat[:half], flat[half:]] if len(flat) % 2 == 0 \
+                else [[x] for x in flat]
+    else:
+        # the last line is the empty one after the final newline
+        blanks = [i for i, line in enumerate(lines[:-1])
+                  if i > 4 and line == ""]
+        if blanks:
+            del lines[rng.choice(blanks)]
+        else:  # one block per generator: drop a block line instead
+            del lines[at]
+        return lines
+    lines[at] = ";".join(" ".join(r) for r in rows)
+    return lines
+
+
+class TestReaderOracle:
+    """The reader against the slow reference reader above."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(small_codes(ORDERS), st.integers(0, 2 ** 32))
+    def test_respelled_texts_read_as_the_reference(self, C, seed):
+        rng = random.Random(seed)
+        lines = write_src_text(C).split("\n")
+        for i in _block_lines(lines):
+            lines[i] = _respell(lines[i], rng)
+        text = "\n".join(lines)
+        assert parse_src_text(text) == reference_parse_src_text(text) == C
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(small_codes(ORDERS), st.integers(0, 2 ** 32))
+    def test_corrupted_texts_fail_as_the_reference(self, C, seed):
+        rng = random.Random(seed)
+        text = "\n".join(_corrupt(write_src_text(C).split("\n"),
+                                   C.field.q, rng))
+        with pytest.raises(ParseError) as got:
+            parse_src_text(text)
+        with pytest.raises(ParseError) as want:
+            reference_parse_src_text(text)
+        assert (str(got.value), got.value.line) == \
+            (str(want.value), want.value.line)
 
 
 def run_cli(argv):
