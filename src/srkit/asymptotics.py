@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
+from .guard import BOUND_KEYS
 from .matq import count_matrices_of_rank
 
 _LOG_Z_LO = -40.0
@@ -274,19 +275,6 @@ def asymptotic_sphere_pack_cover(eta: float, n: int, m: int, q: int):
 # series emission
 # ---------------------------------------------------------------------------
 
-BOUND_KEYS = (
-    "singleton",
-    "projective-sphere-packing",
-    "total-distance",
-    "sphere-packing-upper",
-    "sphere-covering-lower",
-    "induced-singleton",
-    "induced-hamming",
-    "induced-plotkin",
-    "induced-elias",
-)
-
-
 def _sphere_shape(scenario: AsymptoticScenario):
     """(n, m, q) of the one block shape the entropy pair needs."""
     if scenario.m_head or not scenario.constant_tail:
@@ -300,6 +288,8 @@ def _bound(name: str, scenario: AsymptoticScenario):
     The entropy-based pair requires equal block shapes (no heads); there is
     no mixed-shape sphere bound.
     """
+    if name not in BOUND_KEYS:
+        raise ValueError(f"unknown bound {name!r}")
     # asymptotically the projection argument gives nothing beyond Singleton
     if name in ("singleton", "projective-sphere-packing"):
         return asymptotic_singleton
@@ -307,10 +297,8 @@ def _bound(name: str, scenario: AsymptoticScenario):
         return _total_distance(scenario)
     if name in _SPHERE_PAIR:
         return _sphere_bound(name, *_sphere_shape(scenario))
-    if name.startswith("induced-"):
-        m_top = scenario.m_head[0] if scenario.m_head else scenario.m_hat
-        return _induced(scenario.q, m_top, name.removeprefix("induced-"))
-    raise ValueError(f"unknown bound {name!r}")
+    m_top = scenario.m_head[0] if scenario.m_head else scenario.m_hat
+    return _induced(scenario.q, m_top, name.removeprefix("induced-"))
 
 
 def evaluate_bound(name: str, eta: float, scenario: AsymptoticScenario):

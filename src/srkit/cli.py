@@ -7,6 +7,23 @@ the command line is ASCII decimal digits (`guard._decimal`), as in `.src`
 files: no '+', '_', spaces or other scripts' digits; an integer flag may
 carry a leading '-', so a negative value is refused by the command's own
 range check.
+
+Each command runs in a fresh process and loads only what it calls.  At
+module level this file imports `errors`, `field` and `guard` (which holds
+the bound names the `asymptotics --bounds` help lists), and building the
+parser imports no other module, so `import srkit.cli` loads those three,
+`srkit` and `srkit.cli`.  Each `cmd_*` imports its library calls when it
+runs, and so loads:
+
+    check, dual, shorten, puncture  srcfile, code, ambient, matq (check
+                                    adds bounds for a code that is not MSRD)
+    distributions, macwilliams      those four and distributions
+    omega                           distributions, code, ambient, matq
+    construct                       constructions, bounds, code, ambient,
+                                    matq, srcfile
+    bounds                          bounds, code, ambient, matq
+    sphere-volume                   ambient, matq
+    asymptotics                     asymptotics, matq
 """
 
 from __future__ import annotations
@@ -15,43 +32,9 @@ import argparse
 import json
 import sys
 
-from .ambient import parse_profile, profile_create, sphere_volume, format_profile
-from .asymptotics import (
-    BOUND_KEYS,
-    AsymptoticScenario,
-    emit_series,
-    parse_grid,
-)
-from .bounds import TABLE_BOUNDS, bound_report
-from .code import (
-    dual,
-    msrd_check,
-    msrd_puncture_row,
-    msrd_shorten_col,
-    msrd_shorten_row,
-)
-from .constructions import (
-    construct_combine,
-    construct_d2,
-    construct_dN,
-    construct_dN_minus,
-    construct_mds_lift,
-    construct_msrd111,
-    construct_msrd111_ext,
-    gabidulin_mrd,
-    simplex_lift,
-)
-from .distributions import (
-    brute_distributions,
-    macwilliams_ranklist,
-    macwilliams_support,
-    omega_exclusion_scan,
-    omega_hat_exclusion_scan,
-)
 from .errors import BadParameters, SrkitError, TooLarge
 from .field import field_from_order, prime_power
-from .guard import _decimal, _signed_decimal
-from .srcfile import parse_src, write_src
+from .guard import BOUND_KEYS, _decimal, _signed_decimal
 
 SCHEMA = "srkit.v1"
 
@@ -77,8 +60,8 @@ def _format_value(v):
     return "-" if v is None else str(v)
 
 
-def _print_bounds_table(rep, out):
-    rows = [(name, rep.entries[name], rep.linear[name]) for name in TABLE_BOUNDS]
+def _print_bounds_table(rep, names, out):
+    rows = [(name, rep.entries[name], rep.linear[name]) for name in names]
     width = max(len(n) for n, _, _ in rows)
     vwidth = max(len(_format_value(v)) for _, v, _ in rows)
     print(f"d = {rep.d}", file=out)
@@ -89,6 +72,8 @@ def _print_bounds_table(rep, out):
 
 
 def cmd_bounds(args, out):
+    from .ambient import format_profile, parse_profile, profile_create
+    from .bounds import TABLE_BOUNDS, bound_report
     field = _field(args.q)
     profile = profile_create(field, parse_profile(args.profile))
     ds = range(1, profile.N + 1) if args.all_d else [args.d]
@@ -99,7 +84,7 @@ def cmd_bounds(args, out):
         print(f"profile {format_profile(profile.original_blocks)} over "
               f"GF({field.q}), N={profile.N}", file=out)
         for rep in reports:
-            _print_bounds_table(rep, out)
+            _print_bounds_table(rep, TABLE_BOUNDS, out)
     elif args.format == "csv":
         print("d,bound,value,linear,best", file=out)
         for rep in reports:
@@ -121,6 +106,8 @@ def cmd_bounds(args, out):
 
 
 def cmd_check(args, out):
+    from .code import msrd_check
+    from .srcfile import parse_src
     code = parse_src(args.src)
     witness = msrd_check(code, override=args.override)
     d_text = _format_value(witness.d)
@@ -135,18 +122,21 @@ def cmd_check(args, out):
 
 
 def cmd_dual(args, out):
+    from .code import dual
+    from .srcfile import parse_src, write_src, write_src_text
     code = parse_src(args.src)
     d = dual(code)
     if args.out:
         write_src(d, args.out)
         print(f"dual written to {args.out} (dim {d.k})", file=out)
     else:
-        from .srcfile import write_src_text
         out.write(write_src_text(d))
     return 0
 
 
 def cmd_shorten(args, out):
+    from .code import msrd_shorten_col, msrd_shorten_row
+    from .srcfile import parse_src
     code = parse_src(args.src)
     if (args.row is None) == (args.col is None):
         raise SrkitError("provide exactly one of --row or --col")
@@ -160,6 +150,8 @@ def cmd_shorten(args, out):
 
 
 def cmd_puncture(args, out):
+    from .code import msrd_puncture_row
+    from .srcfile import parse_src
     code = parse_src(args.src)
     result = msrd_puncture_row(code, args.row, override=args.override)
     return _report_derived("punctured", result, args, out)
@@ -167,6 +159,9 @@ def cmd_puncture(args, out):
 
 def _report_derived(verb, result, args, out):
     """Certify, report and write a shortened or punctured code."""
+    from .ambient import format_profile
+    from .code import msrd_check
+    from .srcfile import write_src
     witness = msrd_check(result, override=args.override)
     print(f"{verb} to {format_profile(result.profile.original_blocks)}: "
           f"MSRD={witness.is_msrd}, d={_format_value(witness.d)}, "
@@ -194,6 +189,7 @@ def _print_supports(counts, out):
 
 
 def _print_distributions(code, out, label=""):
+    from .distributions import brute_distributions
     srd, rld, supd = brute_distributions(code)
     print(f"{label}sum-rank: " +
           " ".join(f"{r}:{c}" for r, c in enumerate(srd.counts) if c), file=out)
@@ -205,6 +201,13 @@ def _print_distributions(code, out, label=""):
 
 
 def cmd_distributions(args, out):
+    from .code import dual
+    from .distributions import (
+        brute_distributions,
+        macwilliams_ranklist,
+        macwilliams_support,
+    )
+    from .srcfile import parse_src
     code = parse_src(args.src)
     _, rld, supd = _print_distributions(code, out)
     status = 0
@@ -224,6 +227,12 @@ def cmd_distributions(args, out):
 
 
 def cmd_macwilliams(args, out):
+    from .distributions import (
+        brute_distributions,
+        macwilliams_ranklist,
+        macwilliams_support,
+    )
+    from .srcfile import parse_src
     code = parse_src(args.src)
     _, rld, supd = brute_distributions(code)
     dual_sup = macwilliams_support(supd, code.size())
@@ -249,6 +258,7 @@ def _positive_ints(text, flag):
 
 
 def cmd_omega(args, out):
+    from .distributions import omega_exclusion_scan, omega_hat_exclusion_scan
     prime_power(args.q_int)
     scan = omega_hat_exclusion_scan if args.dual else omega_exclusion_scan
     res = scan(_positive_ints(args.shape, "--shape"), args.m, args.q_int,
@@ -281,6 +291,20 @@ def cmd_construct(args, out):
                for dest in CONSTRUCT_REQUIRES[name] if getattr(args, dest) is None]
     if missing:
         raise BadParameters(f"construct {name} needs {', '.join(missing)}")
+    from .ambient import format_profile, parse_profile
+    from .code import msrd_check
+    from .constructions import (
+        construct_combine,
+        construct_d2,
+        construct_dN,
+        construct_dN_minus,
+        construct_mds_lift,
+        construct_msrd111,
+        construct_msrd111_ext,
+        gabidulin_mrd,
+        simplex_lift,
+    )
+    from .srcfile import write_src
     field = _field(args.q)
     if name == "gabidulin":
         code = gabidulin_mrd(field, args.n, args.m, args.d)
@@ -326,6 +350,7 @@ def cmd_construct(args, out):
 
 
 def cmd_asymptotics(args, out):
+    from .asymptotics import AsymptoticScenario, emit_series, parse_grid
     prime_power(args.q_int)
     scenario = AsymptoticScenario(
         q=args.q_int, m_hat=args.m, n_hat=args.n,
@@ -347,6 +372,7 @@ def cmd_asymptotics(args, out):
 
 
 def cmd_sphere_volume(args, out):
+    from .ambient import parse_profile, profile_create, sphere_volume
     field = _field(args.q)
     profile = profile_create(field, parse_profile(args.profile))
     print(sphere_volume(profile, args.r), file=out)

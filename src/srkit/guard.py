@@ -5,6 +5,10 @@ exponential loop is gated.  The codeword guard can be raised per-call
 (``override=True``) or globally through the ``SRKIT_MAX_ENUM`` environment
 variable.  Where a walk and a lattice route give the same result,
 `walk_runs` runs the one that is not preferred when only it fits.
+
+It also holds what the command line checks before it loads the library:
+the ASCII-decimal readers `_decimal` and `_signed_decimal`, and the
+asymptotic bound names `BOUND_KEYS`.
 """
 
 import os
@@ -14,6 +18,20 @@ from .errors import BadParameters, TooLarge
 DEFAULT_MAX_ENUM = 1 << 24       # codeword / tuple enumerations
 SUBSPACE_GUARD = 1 << 28         # subspace streams
 MAX_DISTRIBUTION_KEYS = 10 ** 7  # support-distribution dictionaries
+
+# the asymptotic bounds a series may name, in `srkit.asymptotics` and on the
+# command line
+BOUND_KEYS = (
+    "singleton",
+    "projective-sphere-packing",
+    "total-distance",
+    "sphere-packing-upper",
+    "sphere-covering-lower",
+    "induced-singleton",
+    "induced-hamming",
+    "induced-plotkin",
+    "induced-elias",
+)
 
 
 def _decimal(text: str) -> int:

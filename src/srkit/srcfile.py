@@ -19,13 +19,15 @@ parsing a canonical file is the identity byte for byte.
 
 Each block is written straight from the code's flat rows through
 `ambient._cells`, in user block order.  Each block line is read straight
-into ints with no per-entry call: it is split on ';' and whitespace, all
-its entries' digits are checked at once, then their largest value against
-q, then the shape its row lengths give.  The flat layout is block-major and
-row-major, so a generator's flat row is its block lines' entries joined in
-the profile's block order.  Every number is ASCII decimal (`guard._decimal`
-for the header lines), and the field and dim lines hold exactly their
-tokens.
+into ints with no per-entry call.  One test checks that the line holds only
+ASCII digits, spaces, tabs and ';': any other character, other whitespace
+such as U+00A0, U+0085 or U+000B included, makes it a malformed matrix.
+The line is split on ';' into rows and on spaces and tabs into entries,
+their largest value is checked against q, then the shape its row lengths
+give.  The flat layout is block-major and row-major, so a generator's flat
+row is its block lines' entries joined in the profile's block order.  Every
+number is ASCII decimal (`guard._decimal` for the header lines), and the
+field and dim lines hold exactly their tokens.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ from .field import field_create
 from .guard import _decimal
 
 MAGIC = "srcv1"
+# what a block line may hold: ASCII digits, entries separated by spaces and
+# tabs, rows by ';'
+_BLOCK_CHARS = frozenset("0123456789 \t;")
 
 
 def write_src_text(code: LinearCode) -> str:
@@ -121,9 +126,12 @@ def parse_src_text(text: str) -> LinearCode:
             line = lines[pos]
             if line is None:
                 _line(lines, pos)  # raises: the file ended
-            # rows split on ';' and entries on whitespace, then one check of
-            # every entry's digits and one of their largest value
+            # one test that the line holds only digits, spaces, tabs and
+            # ';', so every entry split out of it is ASCII decimal; then one
+            # check of the entries' largest value
             try:
+                if not _BLOCK_CHARS.issuperset(line):
+                    raise ValueError("a character is not a digit or separator")
                 rows = line.split(";")
                 flat = rows[0].split()
                 cols = len(flat)
@@ -133,9 +141,6 @@ def parse_src_text(text: str) -> LinearCode:
                         raise ValueError("ragged rows")
                     flat += row
                 if flat:
-                    digits = "".join(flat)
-                    if not (digits.isascii() and digits.isdigit()):
-                        raise ValueError("an entry is not ASCII decimal")
                     flat = list(map(int, flat))
                     if max(flat) >= q:
                         raise ValueError(f"an entry is outside GF({q})")

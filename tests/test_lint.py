@@ -27,11 +27,8 @@ def _imported_names(tree):
 
 
 def test_library_has_no_unused_import():
-    # __init__.py imports to re-export, so it is exempt
     found = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(), str(path))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         found += [f"{path.name}:{line} {name}"

@@ -103,6 +103,20 @@ class TestSrcFormat:
         assert main(["check", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    # a block line separates entries by ASCII spaces and tabs and rows by
+    # ';' only: other whitespace, which str.split() would take, is refused
+    @pytest.mark.parametrize("sep", ["\u00a0", "\u2003", "\u0085", "\u001c",
+                                     "\x0b", "\x0c"])
+    @pytest.mark.parametrize("spelling", ["1{}0;0 0", "1 0;{}0 0", "1 0{};0 0",
+                                          "1 0;0 0{}"])
+    def test_block_line_takes_no_other_whitespace(self, sep, spelling):
+        lines = (FIXTURES / "msrd_d4_gf3.src").read_text().split("\n")
+        lines[5] = spelling.format(sep)
+        with pytest.raises(ParseError) as err:
+            parse_src_text("\n".join(lines))
+        assert (str(err.value), err.value.line) == \
+            (f"line 6: malformed matrix {lines[5]!r}", 6)
+
     # msrd_d4_gf3.src spelled as the writer never writes it: each row still
     # reads as the fixture's code, and the writer gives the fixture's bytes
     @pytest.mark.parametrize("line, text", [
@@ -543,15 +557,18 @@ class TestExitCodes:
         assert rc == 0 and out.startswith("Inconclusive")
 
     def test_dual_walked_once(self, monkeypatch):
-        import srkit.cli
+        # each command imports what it calls when it runs, so the count is
+        # taken on the home module
+        import srkit.distributions
         calls = []
-        walk = srkit.cli.brute_distributions
+        walk = srkit.distributions.brute_distributions
 
         def counting(code, *args, **kwargs):
             calls.append(code.k)
             return walk(code, *args, **kwargs)
 
-        monkeypatch.setattr(srkit.cli, "brute_distributions", counting)
+        monkeypatch.setattr(srkit.distributions, "brute_distributions",
+                            counting)
         rc, out = run_cli(["distributions", str(FIXTURES / "dualpair_a.src"),
                            "--dual", "--check-macwilliams"])
         assert rc == 0 and "macwilliams: support ok, rank-list ok" in out
