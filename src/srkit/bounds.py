@@ -11,7 +11,6 @@ and builds no profile for the projective bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .ambient import Profile, sphere_volume
 from .code import singleton_decomposition, singleton_exponent
@@ -34,10 +33,6 @@ def _check_d(profile: Profile, d: int):
         raise BadDistance(f"distance must lie in [1, {profile.N}], got {d}")
 
 
-def _hamming_volume(N: int, w: int, Q: int) -> int:
-    return sum(comb(N, i) * (Q - 1) ** i for i in range(w + 1))
-
-
 def induced_bounds(profile: Profile, d: int) -> dict:
     """Singleton / Hamming / Plotkin / Elias bounds through the length-N
     Hamming-metric picture over the alphabet of size q^m, m = max column count."""
@@ -49,13 +44,13 @@ def induced_bounds(profile: Profile, d: int) -> dict:
 
     singleton = Q ** (N - d + 1)
 
-    r = (d - 1) // 2
-    hamming = Q ** N // _hamming_volume(N, r, Q)
-
     plotkin = None
     if Q * d > (Q - 1) * N:
         plotkin = (Q * d) // (Q * d - (Q - 1) * N)
 
+    # the Elias scan's volumes V_w run to wmax >= floor(N/2), which reaches
+    # the Hamming radius r = floor((d-1)/2) because d <= N
+    r = (d - 1) // 2
     elias = None
     wmax = (N * (Q - 1)) // Q
     total = Q ** N
@@ -64,6 +59,8 @@ def induced_bounds(profile: Profile, d: int) -> dict:
         if w > 0:
             shell = shell * (N - w + 1) * (Q - 1) // w
             volume += shell
+        if w == r:
+            hamming = total // volume
         den = Q * w * w - 2 * N * w * (Q - 1) + (Q - 1) * N * d
         if den <= 0:
             continue

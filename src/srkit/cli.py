@@ -271,82 +271,68 @@ def cmd_omega(args, out):
     return 0
 
 
-# flags each construction needs, by argparse dest
-CONSTRUCT_REQUIRES = {
-    "gabidulin": ("n", "m", "d"),
-    "mds-lift": ("m", "t", "d"),
-    "d2": ("profile",),
-    "dn": ("profile",),
-    "dn-minus": ("profile",),
-    "msrd111": ("profile", "t2"),
-    "combine": ("profile", "t2", "m_hat"),
-    "msrd111-ext": ("m", "s"),
-    "simplex-lift": ("m", "n", "r"),
+def _blocks(args):
+    from .ambient import parse_profile
+    return parse_profile(args.profile)
+
+
+# each family's flags, by argparse dest, and its builder, given the
+# `constructions` module, the field and the parsed arguments
+CONSTRUCT_FAMILIES = {
+    "gabidulin": (("n", "m", "d"), lambda c, F, a:
+                  c.gabidulin_mrd(F, a.n, a.m, a.d)),
+    "mds-lift": (("m", "t", "d"), lambda c, F, a:
+                 c.construct_mds_lift(F, a.m, a.t, a.d)),
+    "d2": (("profile",), lambda c, F, a: c.construct_d2(F, _blocks(a)).code),
+    "dn": (("profile",), lambda c, F, a: c.construct_dN(F, _blocks(a))),
+    "dn-minus": (("profile",), lambda c, F, a:
+                 c.construct_dN_minus(F, _blocks(a), alpha=a.alpha)),
+    "msrd111": (("profile", "t2"), lambda c, F, a:
+                c.construct_msrd111(F, _blocks(a), a.t2)),
+    "combine": (("profile", "t2", "m_hat"), lambda c, F, a:
+                c.construct_combine(F, _blocks(a), a.t2, a.m_hat)),
+    "msrd111-ext": (("m", "s"), lambda c, F, a:
+                    c.construct_msrd111_ext(F, a.m, a.s)),
+    "simplex-lift": (("m", "n", "r"), lambda c, F, a:
+                     c.simplex_lift(F, a.m, a.n, a.r, override=a.override)),
 }
 
 
 def cmd_construct(args, out):
     name = args.name
+    needs, build = CONSTRUCT_FAMILIES[name]
     missing = [f"--{dest.replace('_', '-')}"
-               for dest in CONSTRUCT_REQUIRES[name] if getattr(args, dest) is None]
+               for dest in needs if getattr(args, dest) is None]
     if missing:
         raise BadParameters(f"construct {name} needs {', '.join(missing)}")
-    from .ambient import format_profile, parse_profile
+    from . import constructions
+    from .ambient import format_profile
     from .code import msrd_check
-    from .constructions import (
-        construct_combine,
-        construct_d2,
-        construct_dN,
-        construct_dN_minus,
-        construct_mds_lift,
-        construct_msrd111,
-        construct_msrd111_ext,
-        gabidulin_mrd,
-        simplex_lift,
-    )
     from .srcfile import write_src
     field = _field(args.q)
-    if name == "gabidulin":
-        code = gabidulin_mrd(field, args.n, args.m, args.d)
-    elif name == "mds-lift":
-        code = construct_mds_lift(field, args.m, args.t, args.d)
-    elif name == "d2":
-        code = construct_d2(field, parse_profile(args.profile)).code
-    elif name == "dn":
-        code = construct_dN(field, parse_profile(args.profile))
-    elif name == "dn-minus":
-        code = construct_dN_minus(field, parse_profile(args.profile),
-                                  alpha=args.alpha)
-        if args.alpha >= 2:
+    built = build(constructions, field, args)
+    ok = True
+    if name == "simplex-lift":
+        code, cert = built
+        line = f"simplex lift: t={cert.t}, dim {cert.dim}, |C|={cert.size}, " \
+               f"srk={cert.sumrank}, induced plotkin {cert.induced_plotkin}, " \
+               f"meets={cert.meets_plotkin} (structural certificate)"
+        ok = cert.meets_plotkin
+    else:
+        code = built
+        if name == "dn-minus" and args.alpha >= 2:
             print("note: alpha >= 2 follows the sketched generalization",
                   file=out)
-    elif name == "msrd111":
-        code = construct_msrd111(field, parse_profile(args.profile), args.t2)
-    elif name == "combine":
-        code = construct_combine(field, parse_profile(args.profile), args.t2,
-                                 args.m_hat)
-    elif name == "msrd111-ext":
-        code = construct_msrd111_ext(field, args.m, args.s)
-    elif name == "simplex-lift":
-        code, cert = simplex_lift(field, args.m, args.n, args.r,
-                                  override=args.override)
-        print(f"simplex lift: t={cert.t}, dim {cert.dim}, |C|={cert.size}, "
-              f"srk={cert.sumrank}, induced plotkin {cert.induced_plotkin}, "
-              f"meets={cert.meets_plotkin} (structural certificate)", file=out)
-        if args.out:
-            write_src(code, args.out)
-        return 0 if cert.meets_plotkin else 1
-    line = f"constructed dim {code.k} in " \
-           f"{format_profile(code.profile.original_blocks)} over GF({field.q})"
-    if args.certify:
-        witness = msrd_check(code, override=args.override)
-        line += f"; MSRD={witness.is_msrd}, d={_format_value(witness.d)}"
+        line = f"constructed dim {code.k} in " \
+               f"{format_profile(code.profile.original_blocks)} over GF({field.q})"
+        if args.certify:
+            witness = msrd_check(code, override=args.override)
+            line += f"; MSRD={witness.is_msrd}, d={_format_value(witness.d)}"
+            ok = witness.is_msrd
     print(line, file=out)
     if args.out:
         write_src(code, args.out)
-    if args.certify and not witness.is_msrd:
-        return 1
-    return 0
+    return 0 if ok else 1
 
 
 def cmd_asymptotics(args, out):
@@ -453,7 +439,7 @@ def build_parser():
     p.set_defaults(fn=cmd_omega)
 
     p = sub.add_parser("construct", help="build a code family member")
-    p.add_argument("name", choices=tuple(CONSTRUCT_REQUIRES))
+    p.add_argument("name", choices=tuple(CONSTRUCT_FAMILIES))
     p.add_argument("--q", required=True)
     p.add_argument("--profile", help="block list for profile-driven families")
     p.add_argument("--n", type=_integer)

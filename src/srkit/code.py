@@ -277,20 +277,10 @@ def _walk_distance(code: LinearCode, override=False) -> int:
 # up to 41 calls within 1.5 s of CPU per route) on each of the 28 distinct
 # codes that perfbench's certify workload certifies with seed 1 (GF(2),
 # GF(3), GF(4), GF(256); 2^5 to 2^16 words) and on two Gabidulin MRD
-# codes, where the lattice wins: GF(2) 6x6 d = 4, 12 ms against 0.73 s, and
-# GF(4) 4x4 d = 3, 14 ms against 0.94 s.  4 picks the faster route for
-# every one of them; any ratio in (0.35, 6.75] would.  The walk wins below: 256 words
-# against 793 units, 2.6 ms against 17 ms, and 32 words against 92 units,
-# 0.19 ms against 1.4 ms.  The lattice wins above: 27 words against 4 units
-# over GF(3), 0.08 ms against 0.21 ms, and 2048 words against 186 units,
-# 0.32 ms against 5.0 ms (the GF(2) 5x5 Gabidulin code).  Re-timed the same
-# way on the same 30 codes once field rows read the field's tables: any
-# ratio in (0.35, 6.75) still picks the faster route on every one, so 4
-# stays.  Re-timed the same way once single-row blocks were ranked by a
-# zero test: the GF(2) (1x7)^4 (1x1)^8 code of 256 words against 793 units
-# now walks in 0.42 ms against 10 ms, and any ratio in (0.35, 6.75] still
-# picks the faster route on all 30 (bounded by the same two codes as
-# above), so 4 stays.
+# codes, where the lattice wins (GF(2) 6x6 d = 4 and GF(4) 4x4 d = 3).
+# 4 picks the faster route on all 30, as would any ratio in (0.35, 6.75]:
+# above 32/92 (a code of 32 words against 92 units walks faster) and at
+# most 27/4 (27 words against 4 units over GF(3), the lattice faster).
 _WORDS_PER_UNIT = 4
 
 

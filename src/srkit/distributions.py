@@ -164,29 +164,19 @@ def brute_distributions(code: LinearCode, override=False):
 # _TUPLES_PER_WORD subspace tuples (their shortenings ranked) plus one per
 # _CONTRACTIONS_PER_WORD contractions of the inversion; integers, so a huge
 # lattice needs no float.  Measured with CPython 3.11 on a 2-vCPU x86-64
-# machine, both routes called directly, the walk on packed GF(2) columns,
-# on the 20 codes of perfbench's seed-1 spectrum workload (10 codes and
-# their duals over GF(2), GF(3), GF(4); 4 to 6561 words, 8 to 125 tuples;
-# median of up to 41 calls) and on 43 seeded codes with one 5x5 or 4x4
-# block or two 3x3 blocks over GF(2) to GF(4), every k with q^k from |L|/10
-# to 12|L| (median of 7 calls; not GF(4) 5x5, whose 12,278^2 kernel entries
-# need GBs).  (2, 64) picks the faster route on all 20 seed-1 codes, as
-# would 1 to 4 tuples per word (closest: GF(4), 16 words against 49
-# tuples, 0.40 against 0.41 ms), and among those and 0 or 1/32 to 1/1024
-# words per contraction has the least worst slowdown on the 43: 3.0x (GF(2)
-# 4x4, k = 7, lattice 3.4 against 1.1 ms; 8 codes miss).  The packed walk
-# is 2-3x faster over GF(2), so (2, 256), fitted to the field-row walk,
-# reached 5.3x (GF(2) 5x5, k = 10: lattice 41 ms, walk 7.8 ms).  Re-timed
-# the same way once tables were kept per profile, shortening sizes filled
-# flat and field rows read the field's tables, the lattice route called on
-# a newly read copy of each code so that it builds its tables as a first
-# call does: (2, 64) still picks the faster route on all 20 seed-1 codes
-# (so would 1 or 2 tuples per word with any contraction term, 3 or 4 with
-# 1/32 or 1/64 words per contraction) and ties for the least worst
-# slowdown on the 43: 3.1x (GF(2) 4x4, k = 7, lattice 3.2 against 1.1 ms;
-# 7 codes miss).  The zero test for single-row blocks changed only the
-# distance walk (`code._walk_distance`); this support walk still ranks
-# every block's columns, so both constants stay as they are.
+# machine, both routes called directly, the walk on packed GF(2) columns
+# and the lattice route on a newly read copy of each code (so it builds its
+# tables as a first call does), on the 20 codes of perfbench's seed-1
+# spectrum workload (10 codes and their duals over GF(2), GF(3), GF(4); 4
+# to 6561 words, 8 to 125 tuples; median of up to 41 calls) and on 43
+# seeded codes with one 5x5 or 4x4 block or two 3x3 blocks over GF(2) to
+# GF(4), every k with q^k from |L|/10 to 12|L| (median of 7 calls; not
+# GF(4) 5x5, whose 12,278^2 kernel entries need GBs).  (2, 64) picks the
+# faster route on all 20 seed-1 codes (so would 1 or 2 tuples per word with
+# any contraction term, 3 or 4 with 1/32 or 1/64 words per contraction)
+# and, among 1 to 4 tuples and 0 or 1/32 to 1/1024 words per contraction,
+# ties for the least worst slowdown on the 43: 3.1x (GF(2) 4x4, k = 7,
+# lattice 3.2 against 1.1 ms; 7 codes miss).
 _TUPLES_PER_WORD = 2
 _CONTRACTIONS_PER_WORD = 64
 
@@ -395,8 +385,8 @@ def _product_transform(dense, axes, kernels):
     (K_i(u, h) for u in axes[i]) at position h of axes[i], and is only
     read for the h with a nonzero count.  Each step contracts the leading
     block and rotates it to the back; a u's first term is taken as it is,
-    and a coefficient 1 adds without a multiply.  Values come in
-    itertools.product(*axes) order.
+    not added to zeros, which keeps small lattices' transforms fast.
+    Values come in itertools.product(*axes) order.
     """
     for axis, kernel in zip(axes, kernels):
         width = len(dense) // len(axis)
@@ -409,8 +399,6 @@ def _product_transform(dense, axes, kernels):
                         acc = out[u]
                         if acc is None:
                             out[u] = row if c == 1 else [c * x for x in row]
-                        elif c == 1:
-                            out[u] = [a + x for a, x in zip(acc, row)]
                         else:
                             out[u] = [a + c * x for a, x in zip(acc, row)]
         zero = [0] * width

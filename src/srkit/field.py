@@ -362,7 +362,8 @@ class Field:
             self._mul_tab = [[0] * q] + [
                 [0, *map(self._exp[la:la + q - 1].__getitem__, logs)]
                 for la in logs]
-            self._neg_tab = [self._slow_neg(a) for a in range(q)]
+            # _neg_tab is still None here, so neg computes each entry
+            self._neg_tab = [self.neg(a) for a in range(q)]
             # a^-1 = g^(q-1-log a)
             self._inv_tab = [0] + [
                 self._exp[q - 1 - self._log[a]] for a in range(1, q)]
@@ -429,7 +430,9 @@ class Field:
 
     # -- arithmetic on codes --------------------------------------------------
 
-    def _slow_add(self, a, b):
+    def add(self, a, b):
+        if self._add_tab is not None:
+            return self._add_tab[a][b]
         if self.p == 2:
             return a ^ b
         if self.k == 1:
@@ -437,29 +440,14 @@ class Field:
         da, db = self._digits(a), self._digits(b)
         return self._code([(x + y) % self.p for x, y in zip(da, db)])
 
-    def _slow_neg(self, a):
+    def neg(self, a):
+        if self._neg_tab is not None:
+            return self._neg_tab[a]
         if self.p == 2:
             return a
         if self.k == 1:
             return (-a) % self.p
         return self._code([(-x) % self.p for x in self._digits(a)])
-
-    def _slow_mul(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        if self._exp is not None:
-            return self._exp[self._log[a] + self._log[b]]
-        return self._raw_mul(a, b)
-
-    def add(self, a, b):
-        if self._add_tab is not None:
-            return self._add_tab[a][b]
-        return self._slow_add(a, b)
-
-    def neg(self, a):
-        if self._neg_tab is not None:
-            return self._neg_tab[a]
-        return self._slow_neg(a)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -467,7 +455,11 @@ class Field:
     def mul(self, a, b):
         if self._mul_tab is not None:
             return self._mul_tab[a][b]
-        return self._slow_mul(a, b)
+        if a == 0 or b == 0:
+            return 0
+        if self._exp is not None:
+            return self._exp[self._log[a] + self._log[b]]
+        return self._raw_mul(a, b)
 
     def inv(self, a):
         if a == 0:

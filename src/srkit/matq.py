@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 from .errors import AmbientMismatch, SrkitError
 from .field import Field
-from .guard import _decimal, check_subspaces
+from .guard import check_subspaces
 
 
 class Mat:
@@ -73,12 +73,6 @@ class Mat:
 
 def format_mat(m: Mat) -> str:
     return ";".join(" ".join(str(x) for x in r) for r in m.rows)
-
-
-def parse_mat(field: Field, text: str) -> Mat:
-    rows = [[_decimal(x) for x in part.split()]
-            for part in text.strip().split(";")]
-    return Mat(field, rows)
 
 
 def _extend(echelon, rows, k, F):

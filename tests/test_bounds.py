@@ -24,6 +24,7 @@ from srkit.field import field_create
 
 F2 = field_create(2)
 F3 = field_create(3)
+F4 = field_create(2, 2)
 
 MIXED13 = profile_create(F2, [(2, 2)] + [(1, 2)] * 7 + [(1, 1)] * 5)
 
@@ -83,6 +84,21 @@ class TestInduced:
             vol = sum(comb(N, i) * (Q - 1) ** i for i in range(w + 1))
             values.append((N * d * (Q - 1) * Q ** N) // (den * vol))
         assert induced_bounds(p, d)["elias"] == min(values) == 43
+
+    @pytest.mark.parametrize("F,blocks", [
+        (F2, [(1, 1)]), (F3, [(1, 2)]), (F4, [(2, 2)]),
+        (F2, [(1, 1)] * 9), (F2, [(2, 2)] * 6),
+        (F2, [(2, 2)] + [(1, 2)] * 7 + [(1, 1)] * 5),
+        (F3, [(2, 3), (1, 2), (1, 1)]), (F4, [(2, 3), (2, 2), (1, 1)] * 2),
+    ])
+    def test_hamming_against_the_volume_sum(self, F, blocks):
+        # Q^N // V_r, the Hamming ball's volume summed term by term
+        p = profile_create(F, blocks)
+        N, Q = p.N, F.q ** max(p.ms)
+        for d in range(1, N + 1):
+            r = (d - 1) // 2
+            volume = sum(comb(N, i) * (Q - 1) ** i for i in range(r + 1))
+            assert induced_bounds(p, d)["hamming"] == Q ** N // volume
 
     def test_hamming_dominates_sphere_packing(self):
         # proven containment for equal column counts; observed generally

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from math import comb, prod
 
 import pytest
@@ -25,6 +26,7 @@ from srkit.distributions import (
     _lattice_sizes,
     _lattice_supports,
     _mobius_kernel,
+    _product_transform,
     _subspace_table,
     _support_kernel,
     _transform_units,
@@ -315,6 +317,28 @@ class TestSumRankNoMacWilliams:
         db, _, _ = brute_distributions(dual(Cb))
         assert da.counts[1] == 12
         assert db.counts[1] == 10
+
+
+class TestProductTransform:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_against_the_term_by_term_sum(self, seed):
+        # sum_h dense[h] * prod_i K_i[h_i][u_i] over every h, on 1-3 axes
+        # with kernels holding 0, 1 and negative entries and sparse counts
+        # with whole leading rows of zeros
+        rng = random.Random(seed)
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+        axes = [range(size) for size in sizes]
+        kernels = [[[rng.choice((0, 0, 1, 1, -1, 2, -3, 5)) for _ in axis]
+                    for _ in axis] for axis in axes]
+        dense = [rng.choice((0, 0, 0, 1, 2, 7)) for _ in range(prod(sizes))]
+        width = len(dense) // sizes[0]
+        for h in rng.sample(range(sizes[0]), rng.randint(0, sizes[0])):
+            dense[h * width:(h + 1) * width] = [0] * width
+        expect = [(u, sum(c * prod(K[h_i][u_i]
+                                   for K, h_i, u_i in zip(kernels, h, u))
+                          for h, c in zip(product(*axes), dense)))
+                  for u in product(*axes)]
+        assert list(_product_transform(dense, axes, kernels)) == expect
 
 
 class TestTransforms:

@@ -13,7 +13,7 @@ from srkit.code import _from_rows, code_create, zero_code
 from srkit.errors import BadBlock, ParseError
 from srkit.field import field_create
 from srkit.guard import _decimal
-from srkit.matq import Mat, parse_mat
+from srkit.matq import Mat
 from srkit.srcfile import parse_src, parse_src_text, write_src_text
 
 HERE = pathlib.Path(__file__).resolve().parent
@@ -176,9 +176,10 @@ class TestSrcFormat:
 
 
 def reference_parse_src_text(text):
-    """The slow reference reader: every block line through `parse_mat`
-    (one `Mat`, each entry checked on its own), its shape read off the
-    matrix, and the flat rows filled entry by entry by `ambient._join`."""
+    """The slow reference reader: every block line split on ';' and
+    whitespace into one `Mat` (each entry checked on its own), its shape
+    read off the matrix, and the flat rows filled entry by entry by
+    `ambient._join`."""
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -228,7 +229,8 @@ def reference_parse_src_text(text):
                                  line=pos)
             mat_line = take()
             try:
-                mat = parse_mat(field, mat_line)
+                mat = Mat(field, [[_decimal(x) for x in part.split()]
+                                  for part in mat_line.strip().split(";")])
             except ValueError:
                 raise ParseError(f"malformed matrix {mat_line!r}", line=pos)
             if (mat.nrows, mat.ncols) != (n, m):
